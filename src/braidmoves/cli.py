@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import detect as _detect
@@ -24,17 +23,6 @@ EXIT_OK = 0
 EXIT_NOT_FOUND = 10
 EXIT_USAGE = 2
 EXIT_INTERNAL = 70
-
-_THREADS_ENV = "BRAIDMOVES_THREADS"
-
-
-def _workers() -> int:
-    raw = os.environ.get(_THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise WordError(f"{_THREADS_ENV} must be an integer, got {raw!r}") from None
-
 
 def _parse_free(text: str, n: int) -> FreeWord:
     return FreeWord.parse(text, n)
@@ -109,14 +97,14 @@ def _cmd_pair(args) -> int:
 
 def _cmd_detect_reduce(args) -> int:
     b = _parse_braid(args.word, args.n)
-    result = _detect.detect_reducing(b, args.depth, workers=_workers())
+    result = _detect.detect_reducing(b, args.depth)
     _emit(args, result.to_json(), _describe(result))
     return EXIT_OK if result.found else EXIT_NOT_FOUND
 
 
 def _cmd_detect_exchange(args) -> int:
     b = _parse_braid(args.word, args.n)
-    result = _detect.detect_exchange(b, args.depth, workers=_workers())
+    result = _detect.detect_exchange(b, args.depth)
     if result.found and args.rewrite:
         # realizing braids typically need length about |b| beyond the
         # detection depth; the pair-orbit search dedups heavily, so this

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Iterator
 
 from .homology import HomologyClassX, fox_x, fox_y, star_x_to_y
 from .krammer import tau_plus
@@ -122,43 +122,6 @@ def enumerate_simple(n: int, depth: int) -> list[SimpleClass]:
     return list(seen.values())
 
 
-# -- ordered parallel scan ------------------------------------------------
-
-C = TypeVar("C")
-R = TypeVar("R")
-
-
-def _hits(
-    candidates: Iterable[C],
-    check: Callable[[C], R | None],
-    workers: int = 1,
-) -> Iterator[tuple[C, R]]:
-    """Candidates whose check is not None, yielded in candidate order.
-
-    With workers > 1 the checks run in a thread pool, but candidates are
-    still reported in their original order: evaluation is chunked and each
-    chunk is scanned in order (the ordered-reduction contract).
-    """
-    if workers <= 1:
-        for c in candidates:
-            r = check(c)
-            if r is not None:
-                yield c, r
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    chunk_size = max(4 * workers, 16)
-    it = iter(candidates)
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        while True:
-            chunk = list(itertools.islice(it, chunk_size))
-            if not chunk:
-                return
-            for c, r in zip(chunk, ex.map(check, chunk)):
-                if r is not None:
-                    yield c, r
-
-
 # -- verification ---------------------------------------------------------
 
 
@@ -166,7 +129,10 @@ def _loop_pairing_zero(yloop: FreeWord, xloop: FreeWord) -> bool:
     """Exact zero test of <[yloop]_y, [xloop]_x>, screened first."""
     if loop_pairing_certainly_nonzero(yloop, xloop):
         return False
-    return pair(fox_y(yloop), fox_x(xloop)).is_zero()
+    value = pair(fox_y(yloop), fox_x(xloop))
+    # with the symbolic form taken, is_zero does not screen the loops again
+    value.symbolic
+    return value.is_zero()
 
 
 def _verified_zero(yc, xc) -> bool:
@@ -197,46 +163,39 @@ def _reverify_exchange(b: BraidWord, v: SimpleClass, w: SimpleClass):
 # -- detectors ------------------------------------------------------------
 
 
-def reducing_certificates(
-    b: BraidWord, depth: int, workers: int = 1
-) -> Iterator[DetectionResult]:
+def reducing_certificates(b: BraidWord, depth: int) -> Iterator[DetectionResult]:
     """All reducing-move certificates at this depth, in deterministic order.
 
     For each candidate class v = [w]_x the positive-type condition is
     tested first, then the negative-type one.  Every yielded certificate
     has been re-verified from scratch.
     """
-    classes = enumerate_simple(b.n, depth)
-
-    def check(sc: SimpleClass) -> str | None:
+    for sc in enumerate_simple(b.n, depth):
         w = sc.word
         bw = b(w)
         if _loop_pairing_zero(w.inverse(), bw):
-            return REDUCE_POSITIVE
-        if _loop_pairing_zero(bw.inverse(), w):
-            return REDUCE_NEGATIVE
-        return None
-
-    for sc, kind in _hits(classes, check, workers):
+            kind = REDUCE_POSITIVE
+        elif _loop_pairing_zero(bw.inverse(), w):
+            kind = REDUCE_NEGATIVE
+        else:
+            continue
         _reverify_reducing(b, sc, kind)
         yield DetectionResult(
             found=True, depth_searched=depth, kind=kind, witnesses=(sc,)
         )
 
 
-def detect_reducing(b: BraidWord, depth: int, workers: int = 1) -> DetectionResult:
+def detect_reducing(b: BraidWord, depth: int) -> DetectionResult:
     """First reducing-move certificate within depth, or not-found.
 
     Not-found only means not found within this depth.
     """
-    for result in reducing_certificates(b, depth, workers):
+    for result in reducing_certificates(b, depth):
         return result
     return DetectionResult(found=False, depth_searched=depth)
 
 
-def exchange_certificates(
-    b: BraidWord, depth: int, workers: int = 1
-) -> Iterator[DetectionResult]:
+def exchange_certificates(b: BraidWord, depth: int) -> Iterator[DetectionResult]:
     """All exchange-move certificates at this depth, in deterministic order.
 
     Strategy (i) scans joint pairs (psi(x_{n-1}), psi(x_n)) over braid
@@ -252,21 +211,16 @@ def exchange_certificates(
 
     xn1 = FreeWord.generator(n, n - 1)
     xn = FreeWord.generator(n, n)
+    seen: set[tuple[FreeWord, FreeWord]] = set()
     yielded: set[tuple[FreeWord, FreeWord]] = set()
 
-    def joint_candidates() -> Iterator[tuple[BraidWord, FreeWord, FreeWord]]:
-        seen: set[tuple[FreeWord, FreeWord]] = set()
-        for psi in braid_words(n, depth):
-            vw, ww = psi(xn1), psi(xn)
-            if (vw, ww) not in seen:
-                seen.add((vw, ww))
-                yield psi, vw, ww
-
-    def check_joint(cand: tuple[BraidWord, FreeWord, FreeWord]) -> bool | None:
-        _, vw, ww = cand
-        return True if _loop_pairing_zero(vw.inverse(), b(ww)) else None
-
-    for (psi, vw, ww), _ in _hits(joint_candidates(), check_joint, workers):
+    for psi in braid_words(n, depth):
+        vw, ww = psi(xn1), psi(xn)
+        if (vw, ww) in seen:
+            continue
+        seen.add((vw, ww))
+        if not _loop_pairing_zero(vw.inverse(), b(ww)):
+            continue
         v = SimpleClass(vw, psi, n - 1)
         w = SimpleClass(ww, psi, n)
         _reverify_exchange(b, v, w)
@@ -280,29 +234,23 @@ def exchange_certificates(
         )
 
     classes = enumerate_simple(n, depth)
-
-    def pair_candidates() -> Iterator[tuple[SimpleClass, SimpleClass]]:
-        for v in classes:
-            for w in classes:
-                if (v.word, w.word) in yielded:
-                    continue
-                if _loop_pairing_zero(v.word.inverse(), w.word):
-                    yield v, w
-
-    def check_pair(cand: tuple[SimpleClass, SimpleClass]) -> bool | None:
-        v, w = cand
-        return True if _loop_pairing_zero(v.word.inverse(), b(w.word)) else None
-
-    for (v, w), _ in _hits(pair_candidates(), check_pair, workers):
-        _reverify_exchange(b, v, w)
-        yield DetectionResult(
-            found=True, depth_searched=depth, kind=EXCHANGE, witnesses=(v, w)
-        )
+    for v in classes:
+        for w in classes:
+            if (v.word, w.word) in yielded:
+                continue
+            if not _loop_pairing_zero(v.word.inverse(), w.word):
+                continue
+            if not _loop_pairing_zero(v.word.inverse(), b(w.word)):
+                continue
+            _reverify_exchange(b, v, w)
+            yield DetectionResult(
+                found=True, depth_searched=depth, kind=EXCHANGE, witnesses=(v, w)
+            )
 
 
-def detect_exchange(b: BraidWord, depth: int, workers: int = 1) -> DetectionResult:
+def detect_exchange(b: BraidWord, depth: int) -> DetectionResult:
     """First exchange-move certificate within depth, or not-found."""
-    for result in exchange_certificates(b, depth, workers):
+    for result in exchange_certificates(b, depth):
         return result
     return DetectionResult(found=False, depth_searched=depth)
 

@@ -23,19 +23,25 @@ tested for zero.
   with coefficients on the left.  Input in the x-basis is rewritten
   through the involution that swaps the two bases.
 
+Each derivation is computed by one sweep (sweep_x, sweep_y) that runs in
+any ring: fox_x/fox_y run it in ZF_n, tau_components_x/y in the Magnus
+matrices, and modcheck in the matrices mod p.
+
 Classes built from a loop word carry that word as provenance; the star
 correspondence and the braid action use it ([w]^* = [w^-1] in the other
-module, and beta.[w] = [beta(w)]).  The matrix-level generator actions are
-implemented as well, but only so the tests can check the two routes
-against each other; detection always goes through the free-group route.
+module, and beta.[w] = [beta(w)]).  Detection always goes through this
+free-group route.  For the tests, which check it against the matrix route,
+the module keeps the right action of a braid on tau-evaluated y-side
+vectors; the left action on x-side vectors is the block matrix of the
+braid acting on a column (krammer.tau_plus_act).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
-from .magnus import MagnusElement, tau
+from .magnus import MagnusElement, _tau_letter, tau
 from .words import (
     BraidWord,
     FreeWord,
@@ -71,7 +77,12 @@ class GroupRingElement:
         if self.n != other.n:
             raise WordError(f"puncture count mismatch: {self.n} vs {other.n}")
 
-    def __add__(self, other: GroupRingElement) -> GroupRingElement:
+    @staticmethod
+    def _lift(other: GroupRingElement | FreeWord) -> GroupRingElement:
+        return GroupRingElement.from_word(other) if isinstance(other, FreeWord) else other
+
+    def __add__(self, other: GroupRingElement | FreeWord) -> GroupRingElement:
+        other = GroupRingElement._lift(other)
         self._check(other)
         out = dict(self.terms)
         for w, c in other.terms.items():
@@ -89,14 +100,13 @@ class GroupRingElement:
         res.terms = {w: -c for w, c in self.terms.items()}
         return res
 
-    def __sub__(self, other: GroupRingElement) -> GroupRingElement:
-        return self + (-other)
+    def __sub__(self, other: GroupRingElement | FreeWord) -> GroupRingElement:
+        return self + (-GroupRingElement._lift(other))
 
     def __mul__(self, other) -> GroupRingElement:
         if isinstance(other, int):
             return self.scale(other)
-        if isinstance(other, FreeWord):
-            other = GroupRingElement.from_word(other)
+        other = GroupRingElement._lift(other)
         self._check(other)
         out: dict[FreeWord, int] = {}
         for w1, c1 in self.terms.items():
@@ -256,29 +266,26 @@ class HomologyClassY:
 
 
 # -- the derivations ----------------------------------------------------
+#
+# A sweep takes the ring's identity, its zero and image(idx, sign), the
+# image of the letter idx^sign; in ZF_n the images are FreeWords and the
+# accumulators GroupRingElements.  It keeps the image of the running suffix
+# or prefix, so it makes one pass over the word.
 
 
-def fox_x(w: FreeWord) -> HomologyClassX:
-    """[w]_x = d(w), with w carried as provenance."""
-    n = w.n
-    coeffs: list[dict[FreeWord, int]] = [{} for _ in range(n)]
-    # d(l_1 .. l_m) = sum_k d(l_k) * (l_{k+1} .. l_m)
-    suffix: tuple = ()
+def sweep_x(w: FreeWord, one, zero, image) -> tuple:
+    """The components of [w]_x: d(l_1 .. l_m) = sum_k d(l_k) (l_{k+1} .. l_m),
+    one right-to-left pass over the x-letters."""
+    comps = [zero] * w.n
+    suffix = one
     for idx, sign in reversed(w.letters):
         if sign == 1:
-            word = FreeWord(n, suffix)
-            c = 1
+            comps[idx - 1] = comps[idx - 1] + suffix
+            suffix = image(idx, 1) * suffix
         else:
-            word = FreeWord(n, ((idx, -1),) + suffix)
-            c = -1
-        bucket = coeffs[idx - 1]
-        s = bucket.get(word, 0) + c
-        if s:
-            bucket[word] = s
-        elif word in bucket:
-            del bucket[word]
-        suffix = _reduce(((idx, sign),) + suffix)
-    return HomologyClassX(n, tuple(GroupRingElement(n, b) for b in coeffs), loop=w)
+            suffix = image(idx, -1) * suffix
+            comps[idx - 1] = comps[idx - 1] - suffix
+    return tuple(comps)
 
 
 def _y_letters_of(w: FreeWord) -> tuple:
@@ -288,41 +295,46 @@ def _y_letters_of(w: FreeWord) -> tuple:
     return _reduce(tuple(out))
 
 
-def _y_word_to_x(n: int, yletters: tuple) -> FreeWord:
-    out: list = []
-    for idx, sign in yletters:
-        piece = y_basis_word(idx, n)
-        out.extend(piece.letters if sign == 1 else piece.inverse().letters)
-    return FreeWord(n, tuple(out))
+def sweep_y(w: FreeWord, one, zero, image) -> tuple:
+    """The components of [w]_y: e(l_1 .. l_m) = sum_k (l_1 .. l_{k-1}) e(l_k),
+    one left-to-right pass over w rewritten in the y-letters; image(idx,
+    sign) is the image of y_idx^sign."""
+    comps = [zero] * w.n
+    prefix = one
+    for idx, sign in _y_letters_of(w):
+        if sign == 1:
+            comps[idx - 1] = comps[idx - 1] + prefix
+            prefix = prefix * image(idx, 1)
+        else:
+            prefix = prefix * image(idx, -1)
+            comps[idx - 1] = comps[idx - 1] - prefix
+    return tuple(comps)
+
+
+@lru_cache(maxsize=None)
+def _y_word(n: int, idx: int, sign: int) -> FreeWord:
+    word = y_basis_word(idx, n)
+    return word if sign == 1 else word.inverse()
+
+
+def fox_x(w: FreeWord) -> HomologyClassX:
+    """[w]_x = d(w), with w carried as provenance."""
+    n = w.n
+    comps = sweep_x(
+        w, FreeWord.identity(n), GroupRingElement.zero(n), partial(FreeWord.generator, n)
+    )
+    return HomologyClassX(n, comps, loop=w)
 
 
 def fox_y(w: FreeWord) -> HomologyClassY:
     """[w]_y = e(w), with w carried as provenance.
 
-    The input is an x-basis word; it is rewritten in the y-basis, expanded
-    by the left Leibniz rule, and the coefficients are converted back to
-    the x-basis.
+    The coefficients are x-basis words: the running prefix is kept as the
+    product of the y-basis words, and reduced words are unique.
     """
     n = w.n
-    yletters = _y_letters_of(w)
-    coeffs: list[dict[FreeWord, int]] = [{} for _ in range(n)]
-    # e(l_1 .. l_m) = sum_k (l_1 .. l_{k-1}) e(l_k)
-    prefix: tuple = ()
-    for idx, sign in yletters:
-        if sign == 1:
-            word = _y_word_to_x(n, prefix)
-            c = 1
-        else:
-            word = _y_word_to_x(n, _reduce(prefix + ((idx, -1),)))
-            c = -1
-        bucket = coeffs[idx - 1]
-        s = bucket.get(word, 0) + c
-        if s:
-            bucket[word] = s
-        elif word in bucket:
-            del bucket[word]
-        prefix = _reduce(prefix + ((idx, sign),))
-    return HomologyClassY(n, tuple(GroupRingElement(n, b) for b in coeffs), loop=w)
+    comps = sweep_y(w, FreeWord.identity(n), GroupRingElement.zero(n), partial(_y_word, n))
+    return HomologyClassY(n, comps, loop=w)
 
 
 # -- the star correspondence and the braid action -----------------------
@@ -390,52 +402,35 @@ def left_action_y(b: BraidWord, w: HomologyClassY) -> HomologyClassY:
 # -- tau-evaluated components, computed in one sweep ----------------------
 
 
+@lru_cache(maxsize=None)
+def _tau_y(n: int, idx: int, sign: int) -> MagnusElement:
+    return tau(_y_word(n, idx, sign))
+
+
 def tau_components_x(w: FreeWord) -> tuple[MagnusElement, ...]:
     """tau of each coefficient of [w]_x, without materializing ZF_n values.
 
-    One right-to-left sweep maintains tau of the running suffix, so the
-    cost is linear in len(w).  Agrees with evaluate_x(fox_x(w)); the tests
-    hold the two routes against each other.
+    Agrees with evaluate_x(fox_x(w)); the tests hold the two routes
+    against each other.
     """
-    n = w.n
-    comps = [MagnusElement.zero(n + 1)] * n
-    suffix = MagnusElement.identity(n + 1)
-    for idx, sign in reversed(w.letters):
-        if sign == 1:
-            comps[idx - 1] = comps[idx - 1] + suffix
-            suffix = tau(FreeWord.generator(n, idx)) * suffix
-        else:
-            suffix = tau(FreeWord.generator(n, idx, -1)) * suffix
-            comps[idx - 1] = comps[idx - 1] - suffix
-    return tuple(comps)
-
-
-@lru_cache(maxsize=None)
-def _tau_y(n: int, idx: int, sign: int) -> MagnusElement:
-    word = y_basis_word(idx, n)
-    return tau(word if sign == 1 else word.inverse())
+    size = w.n + 1
+    one, zero = MagnusElement.identity(size), MagnusElement.zero(size)
+    return sweep_x(w, one, zero, partial(_tau_letter, w.n, "x"))
 
 
 def tau_components_y(w: FreeWord) -> tuple[MagnusElement, ...]:
     """tau of each coefficient of [w]_y, by one sweep over the y-letters."""
-    n = w.n
-    comps = [MagnusElement.zero(n + 1)] * n
-    prefix = MagnusElement.identity(n + 1)
-    for idx, sign in _y_letters_of(w):
-        if sign == 1:
-            comps[idx - 1] = comps[idx - 1] + prefix
-            prefix = prefix * _tau_y(n, idx, 1)
-        else:
-            prefix = prefix * _tau_y(n, idx, -1)
-            comps[idx - 1] = comps[idx - 1] - prefix
-    return tuple(comps)
+    size = w.n + 1
+    one, zero = MagnusElement.identity(size), MagnusElement.zero(size)
+    return sweep_y(w, one, zero, partial(_tau_y, w.n))
 
 
 # -- matrix-level actions (cross-validation only) ------------------------
 #
-# These realize the generator actions on tau-evaluated coefficient
-# vectors.  Detection never calls them; the tests use them to check the
-# free-group route against the matrix route.
+# The generator actions on tau-evaluated coefficient vectors.  Detection
+# never calls them; the tests use them to check the free-group route
+# against the matrix route.  The left action on an x-side vector is the
+# block matrix of the braid acting on a column (krammer.tau_plus_act).
 
 XVector = tuple[MagnusElement, ...]
 YVector = tuple[MagnusElement, ...]
@@ -449,41 +444,6 @@ def evaluate_y(w: HomologyClassY) -> YVector:
     return tuple(tau(c) if c else MagnusElement.zero(w.n + 1) for c in w.coeffs)
 
 
-def _tau_sigma(n: int, i: int, sign: int) -> MagnusElement:
-    return tau(BraidWord.generator(n, i, sign))
-
-
-def _tau_x(n: int, j: int, sign: int = 1) -> MagnusElement:
-    return tau(FreeWord.generator(n, j, sign))
-
-
-def x_vector_apply_sigma(n: int, i: int, sign: int, vec: XVector) -> XVector:
-    """Left action of sigma_i^sign on an x-side coefficient vector."""
-    out = list(vec)
-    ts = _tau_sigma(n, i, sign)
-    one = MagnusElement.identity(n + 1)
-    if sign == 1:
-        ri, rj = vec[i - 1], vec[i]
-        out[i - 1] = ts * _tau_x(n, i) * rj
-        out[i] = ts * ri + ts * (one - _tau_x(n, i + 1)) * rj
-    else:
-        ri, rj = vec[i - 1], vec[i]
-        back = _tau_x(n, i, -1) * ts  # tau(x_i^-1 sigma_i^-1)
-        out[i - 1] = ts * rj - (one - _tau_x(n, i + 1)) * back * ri
-        out[i] = back * ri
-    for k in range(n):
-        if k not in (i - 1, i):
-            out[k] = ts * vec[k]
-    return tuple(out)
-
-
-def x_vector_act(b: BraidWord, vec: XVector) -> XVector:
-    """Left action of a braid word (rightmost letter first)."""
-    for i, sign in reversed(b.letters):
-        vec = x_vector_apply_sigma(b.n, i, sign, vec)
-    return vec
-
-
 def x_vector_right_mul(vec: XVector, m: MagnusElement) -> XVector:
     return tuple(r * m for r in vec)
 
@@ -491,7 +451,7 @@ def x_vector_right_mul(vec: XVector, m: MagnusElement) -> XVector:
 def y_vector_apply_sigma(n: int, i: int, sign: int, vec: YVector) -> YVector:
     """Right action of sigma_i^sign on a y-side coefficient vector."""
     out = list(vec)
-    ts = _tau_sigma(n, i, sign)
+    ts = tau(BraidWord.generator(n, i, sign))
     one = MagnusElement.identity(n + 1)
     yi = tau(y_basis_word(i, n))
     if sign == -1:

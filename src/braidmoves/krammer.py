@@ -158,8 +158,17 @@ def tau_plus(b: BraidWord) -> BlockMatrix:
     return acc
 
 
+def tau_plus_act(b: BraidWord, col: Sequence[MagnusElement]) -> tuple[MagnusElement, ...]:
+    """The block matrix of b times a block column, one generator at a time
+    (rightmost letter first), without forming the full product."""
+    col = tuple(col)
+    for i, sign in reversed(b.letters):
+        col = tau_plus_generator(b.n, i, sign).apply_to_column(col)
+    return col
+
+
 def tau_plus_column(b: BraidWord, j: int) -> tuple[MagnusElement, ...]:
-    """Column j of the block matrix of b, without forming the full product."""
+    """Column j of the block matrix of b: tau_plus_act on the basis column e_j."""
     n = b.n
     if not 1 <= j <= n:
         raise WordError(f"column {j} out of range 1..{n}")
@@ -167,9 +176,7 @@ def tau_plus_column(b: BraidWord, j: int) -> tuple[MagnusElement, ...]:
     col = tuple(
         MagnusElement.identity(n + 1) if k == j - 1 else zero for k in range(n)
     )
-    for i, sign in reversed(b.letters):
-        col = tau_plus_generator(n, i, sign).apply_to_column(col)
-    return col
+    return tau_plus_act(b, col)
 
 
 def entry(b: BraidWord, i: int, j: int) -> MagnusElement:

@@ -7,21 +7,25 @@ whose image vanishes go on to the full exact evaluation, which alone
 decides zero.  The evaluation points are fixed constants, so detection
 output is deterministic; a nonzero value that happens to vanish at the
 points only costs time, never correctness.
+
+The screen runs the Fox sweeps of the homology module and the pairing sum
+of the pairing module in the ring of matrices mod p, on the reductions of
+the exact generator tables.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
+from .homology import _tau_y, sweep_x, sweep_y
 from .laurent import LaurentPoly
-from .magnus import rho_sigma, rho_x
-from .words import FreeWord, y_basis_word
+from .magnus import MagnusElement, _tau_letter
+from .pairing import pairing_sum, t_element
+from .words import FreeWord
 
 P = (1 << 61) - 1
 Q0 = 1234567891
 T0 = 987654323
-
-IntMatrix = tuple[tuple[int, ...], ...]
 
 
 def poly_mod(p: LaurentPoly) -> int:
@@ -31,138 +35,97 @@ def poly_mod(p: LaurentPoly) -> int:
     return total
 
 
-def matrix_mod(m) -> IntMatrix:
-    return tuple(tuple(poly_mod(p) for p in row) for row in m.entries)
+class ModMatrix:
+    """A square matrix over Z/P, the image of a Magnus element."""
 
+    __slots__ = ("rows",)
 
-def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    cols = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) % P for col in cols) for row in a
-    )
+    def __init__(self, rows: tuple[tuple[int, ...], ...]):
+        self.rows = rows
 
+    @staticmethod
+    def reduce(m: MagnusElement) -> ModMatrix:
+        return ModMatrix(tuple(tuple(poly_mod(p) for p in row) for row in m.entries))
 
-def mat_add(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    return tuple(tuple((x + y) % P for x, y in zip(r1, r2)) for r1, r2 in zip(a, b))
-
-
-def mat_sub(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    return tuple(tuple((x - y) % P for x, y in zip(r1, r2)) for r1, r2 in zip(a, b))
-
-
-def mat_zero(size: int) -> IntMatrix:
-    return tuple((0,) * size for _ in range(size))
-
-
-def mat_identity(size: int) -> IntMatrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(size)) for i in range(size))
-
-
-def is_zero_mod(a: IntMatrix) -> bool:
-    return all(x == 0 for row in a for x in row)
-
-
-@lru_cache(maxsize=None)
-def sigma_mod(n: int, i: int, sign: int) -> IntMatrix:
-    return matrix_mod(rho_sigma(n, i, sign))
-
-
-@lru_cache(maxsize=None)
-def x_mod(n: int, j: int, sign: int) -> IntMatrix:
-    # tau(x_j^sign) = q^sign rho(x_j^sign)
-    scale = pow(Q0, sign, P)
-    return tuple(
-        tuple(scale * v % P for v in row) for row in matrix_mod(rho_x(n, j, sign))
-    )
-
-
-@lru_cache(maxsize=None)
-def y_mod(n: int, idx: int, sign: int) -> IntMatrix:
-    word = y_basis_word(idx, n)
-    return word_mod(word if sign == 1 else word.inverse())
-
-
-def word_mod(w: FreeWord) -> IntMatrix:
-    acc = mat_identity(w.n + 1)
-    for idx, sign in w.letters:
-        acc = mat_mul(acc, x_mod(w.n, idx, sign))
-    return acc
-
-
-@lru_cache(maxsize=None)
-def t_mod(n: int, i: int) -> IntMatrix:
-    pre = [mat_identity(n + 1)]
-    for k in range(1, n + 1):
-        pre.append(mat_mul(pre[-1], x_mod(n, k, 1)))
-    return mat_sub(pre[i], pre[i - 1])
-
-
-def components_x_mod(w: FreeWord) -> tuple[IntMatrix, ...]:
-    n = w.n
-    comps = [mat_zero(n + 1)] * n
-    suffix = mat_identity(n + 1)
-    for idx, sign in reversed(w.letters):
-        if sign == 1:
-            comps[idx - 1] = mat_add(comps[idx - 1], suffix)
-            suffix = mat_mul(x_mod(n, idx, 1), suffix)
-        else:
-            suffix = mat_mul(x_mod(n, idx, -1), suffix)
-            comps[idx - 1] = mat_sub(comps[idx - 1], suffix)
-    return tuple(comps)
-
-
-def components_y_mod(w: FreeWord) -> tuple[IntMatrix, ...]:
-    from .homology import _y_letters_of
-
-    n = w.n
-    comps = [mat_zero(n + 1)] * n
-    prefix = mat_identity(n + 1)
-    for idx, sign in _y_letters_of(w):
-        if sign == 1:
-            comps[idx - 1] = mat_add(comps[idx - 1], prefix)
-            prefix = mat_mul(prefix, y_mod(n, idx, 1))
-        else:
-            prefix = mat_mul(prefix, y_mod(n, idx, -1))
-            comps[idx - 1] = mat_sub(comps[idx - 1], prefix)
-    return tuple(comps)
-
-
-def group_ring_mod(g) -> IntMatrix:
-    acc = mat_zero(g.n + 1)
-    for word, coeff in g.tau_terms():
-        m = word_mod(word)
-        acc = tuple(
-            tuple((x + coeff * y) % P for x, y in zip(r1, r2))
-            for r1, r2 in zip(acc, m)
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def identity(size: int) -> ModMatrix:
+        return ModMatrix(
+            tuple(tuple(1 if i == j else 0 for j in range(size)) for i in range(size))
         )
-    return acc
+
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def zero(size: int) -> ModMatrix:
+        return ModMatrix(tuple((0,) * size for _ in range(size)))
+
+    def __mul__(self, other: ModMatrix) -> ModMatrix:
+        cols = tuple(zip(*other.rows))
+        return ModMatrix(
+            tuple(
+                tuple(sum(x * y for x, y in zip(row, col)) % P for col in cols)
+                for row in self.rows
+            )
+        )
+
+    def __add__(self, other: ModMatrix) -> ModMatrix:
+        return ModMatrix(
+            tuple(
+                tuple((x + y) % P for x, y in zip(r1, r2))
+                for r1, r2 in zip(self.rows, other.rows)
+            )
+        )
+
+    def __sub__(self, other: ModMatrix) -> ModMatrix:
+        return ModMatrix(
+            tuple(
+                tuple((x - y) % P for x, y in zip(r1, r2))
+                for r1, r2 in zip(self.rows, other.rows)
+            )
+        )
+
+    def is_zero(self) -> bool:
+        return not any(map(any, self.rows))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ModMatrix):
+            return NotImplemented
+        return self.rows == other.rows
 
 
-def _paired_mod(n: int, ymats, xmats) -> IntMatrix:
-    acc = mat_zero(n + 1)
-    for i in range(1, n + 1):
-        c, m = ymats[i - 1], xmats[i - 1]
-        if is_zero_mod(c) or is_zero_mod(m):
-            continue
-        acc = mat_add(acc, mat_mul(mat_mul(c, t_mod(n, i)), m))
-    return acc
+@lru_cache(maxsize=None)
+def x_mod(n: int, j: int, sign: int) -> ModMatrix:
+    return ModMatrix.reduce(_tau_letter(n, "x", j, sign))
+
+
+@lru_cache(maxsize=None)
+def y_mod(n: int, idx: int, sign: int) -> ModMatrix:
+    return ModMatrix.reduce(_tau_y(n, idx, sign))
+
+
+@lru_cache(maxsize=None)
+def t_mod(n: int, i: int) -> ModMatrix:
+    return ModMatrix.reduce(t_element(n, i))
+
+
+def _screen(yloop: FreeWord, xloop: FreeWord) -> bool:
+    n = yloop.n
+    one, zero = ModMatrix.identity(n + 1), ModMatrix.zero(n + 1)
+    ymats = sweep_y(yloop, one, zero, partial(y_mod, n))
+    xmats = sweep_x(xloop, one, zero, partial(x_mod, n))
+    return not pairing_sum(ymats, xmats, partial(t_mod, n), zero).is_zero()
 
 
 def pairing_certainly_nonzero(yc, xc) -> bool:
-    """True only when the pairing value is exactly nonzero."""
-    if yc.loop is not None:
-        ymats = components_y_mod(yc.loop)
-    else:
-        ymats = tuple(group_ring_mod(c) for c in yc.coeffs)
-    if xc.loop is not None:
-        xmats = components_x_mod(xc.loop)
-    else:
-        xmats = tuple(group_ring_mod(c) for c in xc.coeffs)
-    return not is_zero_mod(_paired_mod(yc.n, ymats, xmats))
+    """True only when the pairing value is exactly nonzero.
+
+    Classes that carry no loop word are not screened (False).
+    """
+    if yc.loop is None or xc.loop is None:
+        return False
+    return _screen(yc.loop, xc.loop)
 
 
 def loop_pairing_certainly_nonzero(yloop: FreeWord, xloop: FreeWord) -> bool:
     """Screen <[yloop]_y, [xloop]_x> without building the classes at all."""
-    return not is_zero_mod(
-        _paired_mod(yloop.n, components_y_mod(yloop), components_x_mod(xloop))
-    )
+    return _screen(yloop, xloop)

@@ -17,7 +17,7 @@ to zero is unknown; if it ever happens it is logged as a noteworthy event.
 from __future__ import annotations
 
 import logging
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .homology import GroupRingElement, HomologyClassX, HomologyClassY
 from .magnus import MagnusElement, tau
@@ -33,9 +33,15 @@ def x_prefix(n: int, i: int) -> FreeWord:
 
 
 @lru_cache(maxsize=None)
+def _t_symbolic(n: int, i: int) -> GroupRingElement:
+    """x_1 .. x_i - x_1 .. x_{i-1}, the diagonal <f_i, e_i> in ZF_n."""
+    return GroupRingElement.from_word(x_prefix(n, i)) - x_prefix(n, i - 1)
+
+
+@lru_cache(maxsize=None)
 def t_element(n: int, i: int) -> MagnusElement:
     """t_i = tau(x_1 .. x_i) - tau(x_1 .. x_{i-1})."""
-    return tau(x_prefix(n, i)) - tau(x_prefix(n, i - 1))
+    return tau(_t_symbolic(n, i))
 
 
 class PairingValue:
@@ -47,9 +53,11 @@ class PairingValue:
     from the linear-time sweeps in the homology module.  The result is
     tau(symbolic); the tests pin the two routes together.
 
-    Both forms are memoized and computed on first use; zero tests screen
-    candidates first through the evaluation homomorphism of modcheck,
-    whose nonzero answers are exact.
+    Both forms are memoized and computed on first use.  The zero test of
+    a fresh value, neither of whose forms is computed yet, screens it first
+    through the evaluation homomorphism of modcheck, whose nonzero answers
+    are exact; a caller that has already screened the loops takes the
+    symbolic form first, and the test goes straight to the exact decision.
     """
 
     __slots__ = ("_symbolic", "_classes", "_evaluated")
@@ -119,32 +127,33 @@ def _x_component_matrices(xc: HomologyClassX) -> tuple[MagnusElement, ...]:
     return evaluate_x(xc)
 
 
-def _paired_matrices(n: int, ymats, xmats) -> MagnusElement:
-    """The pairing of two tau-evaluated coefficient vectors."""
-    acc = MagnusElement.zero(n + 1)
-    for i in range(1, n + 1):
-        c, m = ymats[i - 1], xmats[i - 1]
+def pairing_sum(ymats, xmats, t, zero):
+    """sum_i c_i t(i) m_i over the components c_i, m_i of two classes, in
+    any ring whose elements have is_zero(): ZF_n, the Magnus matrices or
+    the matrices mod p.  t(i) is the image of t_i, zero the ring's zero."""
+    acc = zero
+    for i, (c, m) in enumerate(zip(ymats, xmats), start=1):
         if c.is_zero() or m.is_zero():
             continue
-        acc = acc + c * t_element(n, i) * m
+        acc = acc + c * t(i) * m
     return acc
 
 
 def _evaluate_factorwise(yc: HomologyClassY, xc: HomologyClassX) -> MagnusElement:
-    return _paired_matrices(yc.n, _y_component_matrices(yc), _x_component_matrices(xc))
+    n = yc.n
+    return pairing_sum(
+        _y_component_matrices(yc),
+        _x_component_matrices(xc),
+        partial(t_element, n),
+        MagnusElement.zero(n + 1),
+    )
 
 
 def _symbolic_pairing(yc: HomologyClassY, xc: HomologyClassX) -> GroupRingElement:
     n = yc.n
-    acc = GroupRingElement.zero(n)
-    for i in range(1, n + 1):
-        c = yc.coefficient(i)
-        m = xc.coefficient(i)
-        if c.is_zero() or m.is_zero():
-            continue
-        left = c * x_prefix(n, i) - c * x_prefix(n, i - 1)
-        acc = acc + left * m
-    return acc
+    return pairing_sum(
+        yc.coeffs, xc.coeffs, partial(_t_symbolic, n), GroupRingElement.zero(n)
+    )
 
 
 def pair(yc: HomologyClassY, xc: HomologyClassX) -> PairingValue:

@@ -52,6 +52,36 @@ class WordError(ValueError):
     """Malformed word text or out-of-range generator index."""
 
 
+MAX_WORD_LETTERS = 100_000
+"""The most letters a parsed word may expand to, counted before reduction."""
+
+
+def _parse_tokens(
+    text: str, prefix: str, top: int, name: str, kind: str
+) -> tuple[Letter, ...]:
+    """Expand tokens "<prefix>K^N" into letters, checking the index against
+    1..top and the running length against MAX_WORD_LETTERS before any
+    letter is produced.  Braid words also take signed integers k / -k."""
+    letters: list[Letter] = []
+    for tok in text.replace(",", " ").split():
+        m = re.fullmatch(prefix + r"(\d+)(?:\^(-?\d+))?", tok)
+        if m:
+            idx, exp = int(m.group(1)), int(m.group(2) or 1)
+        elif prefix == "s" and re.fullmatch(r"[-+]?\d+", tok):
+            k = int(tok)
+            if k == 0:
+                raise WordError("0 is not a braid generator")
+            idx, exp = abs(k), 1 if k > 0 else -1
+        else:
+            raise WordError(f"bad {kind} token {tok!r}")
+        if not 1 <= idx <= top:
+            raise WordError(f"{name.format(idx)} out of range 1..{top}")
+        if len(letters) + abs(exp) > MAX_WORD_LETTERS:
+            raise WordError(f"word longer than {MAX_WORD_LETTERS} letters")
+        letters.extend([(idx, 1 if exp > 0 else -1)] * abs(exp))
+    return tuple(letters)
+
+
 @dataclass(frozen=True)
 class FreeWord:
     """A freely reduced word in x_1 .. x_n and their inverses."""
@@ -79,19 +109,8 @@ class FreeWord:
 
     @staticmethod
     def parse(text: str, n: int) -> FreeWord:
-        """Parse whitespace-separated tokens "xK" / "xK^-1"."""
-        letters: list[Letter] = []
-        for tok in text.replace(",", " ").split():
-            m = re.fullmatch(r"x(\d+)(\^(-?\d+))?", tok)
-            if not m:
-                raise WordError(f"bad free-word token {tok!r}")
-            idx = int(m.group(1))
-            exp = int(m.group(3)) if m.group(3) else 1
-            if exp == 0:
-                continue
-            sign = 1 if exp > 0 else -1
-            letters.extend([(idx, sign)] * abs(exp))
-        return FreeWord(n, tuple(letters))
+        """Parse whitespace-separated tokens "xK" / "xK^-1" / "xK^N"."""
+        return FreeWord(n, _parse_tokens(text, "x", n, "x{}", "free-word"))
 
     def __mul__(self, other: FreeWord) -> FreeWord:
         if self.n != other.n:
@@ -153,27 +172,9 @@ class BraidWord:
         """Parse a braid word.
 
         Accepts whitespace/comma-separated signed integers (k for sigma_k,
-        -k for sigma_k^-1) or symbolic tokens "sK" / "sK^-1".
+        -k for sigma_k^-1) or symbolic tokens "sK" / "sK^-1" / "sK^N".
         """
-        letters: list[Letter] = []
-        for tok in text.replace(",", " ").split():
-            m = re.fullmatch(r"s(\d+)(\^(-?\d+))?", tok)
-            if m:
-                idx = int(m.group(1))
-                exp = int(m.group(3)) if m.group(3) else 1
-                if exp == 0:
-                    continue
-                sign = 1 if exp > 0 else -1
-                letters.extend([(idx, sign)] * abs(exp))
-                continue
-            try:
-                k = int(tok)
-            except ValueError:
-                raise WordError(f"bad braid token {tok!r}") from None
-            if k == 0:
-                raise WordError("0 is not a braid generator")
-            letters.append((abs(k), 1 if k > 0 else -1))
-        return BraidWord(n, tuple(letters))
+        return BraidWord(n, _parse_tokens(text, "s", n - 1, "sigma_{}", "braid"))
 
     def __mul__(self, other: BraidWord) -> BraidWord:
         if self.n != other.n:

@@ -27,14 +27,13 @@ from braidmoves.homology import (
     star_x_components,
     star_x_to_y,
     tau_components_x,
-    x_vector_act,
     x_vector_right_mul,
     y_vector_act,
 )
-from braidmoves.krammer import entry, is_identity, tau_plus, tau_plus_column
+from braidmoves.krammer import entry, is_identity, tau_plus, tau_plus_act, tau_plus_column
 from braidmoves.laurent import ONE, Q, T, LaurentPoly
 from braidmoves.magnus import MagnusElement, rho_sigma, rho_x, tau, unreduced_burau
-from braidmoves.pairing import _paired_matrices, pair, x_prefix
+from braidmoves.pairing import pair, pairing_sum, t_element, x_prefix
 from braidmoves.words import BraidWord, FreeWord, y_basis_word
 
 BETA2 = BraidWord.parse("-2 -2 -1 -2 -3 2 2 2 1 2 3", 4)
@@ -200,6 +199,12 @@ def test_criterion_5():
         assert value.evaluated == tau(FreeWord.generator(4, i)) - MagnusElement.identity(5)
 
 
+def paired(n, yvec, xvec):
+    return pairing_sum(
+        yvec, xvec, functools.partial(t_element, n), MagnusElement.zero(n + 1)
+    )
+
+
 # -- 6 ------------------------------------------------------------------------
 
 
@@ -222,8 +227,8 @@ def test_criterion_6():
         beta = rand_braid(rng, n, 8)
         yvec = evaluate_y(fox_y(rand_free(rng, n, 6)))
         xvec = evaluate_x(fox_x(rand_free(rng, n, 6)))
-        lhs = _paired_matrices(n, y_vector_act(yvec, beta), xvec)
-        rhs = _paired_matrices(n, yvec, x_vector_act(beta, xvec))
+        lhs = paired(n, y_vector_act(yvec, beta), xvec)
+        rhs = paired(n, yvec, tau_plus_act(beta, xvec))
         assert lhs == rhs
 
     # (c) loop-class equivariance: free route vs matrix route
@@ -234,7 +239,7 @@ def test_criterion_6():
         w = rand_free(rng, n, 6)
         lhs = tau_components_x(beta(w))
         rhs = x_vector_right_mul(
-            x_vector_act(beta, tau_components_x(w)), tau(beta.inverse())
+            tau_plus_act(beta, tau_components_x(w)), tau(beta.inverse())
         )
         assert lhs == rhs
 

@@ -143,6 +143,18 @@ def test_usage_errors(capsys):
     assert code == EXIT_USAGE
 
 
+def test_oversized_words_rejected(capsys):
+    # index and length are checked before any letter is expanded
+    for args in (
+        ("act", "-n", "4", "1", "x1^999999999999"),
+        ("act", "-n", "4", "1", "x9^3000000"),
+        ("is-identity", "-n", "4", "s1^999999999999"),
+        ("is-identity", "-n", "4", "s9^3000000"),
+    ):
+        code, _, err = run(capsys, *args)
+        assert code == EXIT_USAGE and "error" in err
+
+
 def test_seed_flag_accepted(capsys):
     code, out, _ = run(capsys, "--seed", "7", "is-identity", "-n", "2", "")
     assert code == EXIT_OK

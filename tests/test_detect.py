@@ -317,15 +317,3 @@ def test_result_json():
     assert data["depth_searched"] == 0
     report = special_form_tests(BraidWord.identity(3)).to_json()
     assert report["reduction_form"] is False
-
-
-def test_workers_do_not_change_results():
-    seq = [
-        (c.kind, str(c.witnesses[0].word)) for c in reducing_certificates(BETA2, 0)
-    ]
-    par = [
-        (c.kind, str(c.witnesses[0].word))
-        for c in reducing_certificates(BETA2, 0, workers=4)
-    ]
-    assert seq == par
-    assert detect_exchange(MORTON, 1, workers=3) == detect_exchange(MORTON, 1)

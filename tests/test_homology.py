@@ -17,11 +17,11 @@ from braidmoves.homology import (
     star_y_to_x,
     tau_components_x,
     tau_components_y,
-    x_vector_act,
     x_vector_right_mul,
     y_vector_act,
     y_vector_left_mul,
 )
+from braidmoves.krammer import tau_plus_act
 from braidmoves.magnus import tau
 from braidmoves.words import BraidWord, FreeWord, y_basis_word
 
@@ -235,7 +235,7 @@ def test_equivariance_x():
         beta = rand_braid(rng, n, 6)
         w = rand_free(rng, n, 6)
         lhs = evaluate_x(fox_x(beta(w)))
-        vec = x_vector_act(beta, evaluate_x(fox_x(w)))
+        vec = tau_plus_act(beta, evaluate_x(fox_x(w)))
         rhs = x_vector_right_mul(vec, tau(beta.inverse()))
         assert lhs == rhs
 

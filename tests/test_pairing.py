@@ -1,5 +1,6 @@
 import logging
 import random
+from functools import partial
 
 import pytest
 
@@ -120,13 +121,12 @@ def test_conjugation_equivariance():
 
 def test_adjointness():
     # <v beta, w> = <v, beta w> with the matrix-level named actions
-    from braidmoves.homology import (
-        evaluate_x,
-        evaluate_y,
-        x_vector_act,
-        y_vector_act,
-    )
-    from braidmoves.pairing import _paired_matrices
+    from braidmoves.homology import evaluate_x, evaluate_y, y_vector_act
+    from braidmoves.krammer import tau_plus_act
+    from braidmoves.pairing import pairing_sum
+
+    def paired(n, yvec, xvec):
+        return pairing_sum(yvec, xvec, partial(t_element, n), MagnusElement.zero(n + 1))
 
     rng = random.Random(4)
     for _ in range(15):
@@ -134,8 +134,8 @@ def test_adjointness():
         beta = rand_braid(rng, n, 4)
         yvec = evaluate_y(fox_y(rand_free(rng, n, 4)))
         xvec = evaluate_x(fox_x(rand_free(rng, n, 4)))
-        lhs = _paired_matrices(n, y_vector_act(yvec, beta), xvec)
-        rhs = _paired_matrices(n, yvec, x_vector_act(beta, xvec))
+        lhs = paired(n, y_vector_act(yvec, beta), xvec)
+        rhs = paired(n, yvec, tau_plus_act(beta, xvec))
         assert lhs == rhs
 
 

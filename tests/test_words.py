@@ -1,10 +1,12 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidmoves.words import (
+    MAX_WORD_LETTERS,
     BraidWord,
     FreeWord,
     WordError,
@@ -55,6 +57,33 @@ def test_parse_errors():
         BraidWord.parse("x1", 3)
     with pytest.raises(WordError):
         FreeWord.parse("q2", 3)
+
+
+def test_parse_bounds_checked_before_expanding():
+    bad = [
+        (FreeWord, "x9^3000000", 4),  # index out of range, huge exponent
+        (FreeWord, "x1^999999999999", 4),
+        (BraidWord, "s5^3000000", 4),
+        (BraidWord, "s1^-999999999999", 4),
+    ]
+    tracemalloc.start()
+    try:
+        for cls, text, n in bad:
+            with pytest.raises(WordError):
+                cls.parse(text, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # no expansion was allocated: a list of 10^5 letters alone is ~0.8 MB
+    assert peak < 200_000
+    assert len(FreeWord.parse(f"x1^{MAX_WORD_LETTERS}", 1)) == MAX_WORD_LETTERS
+    with pytest.raises(WordError):  # the cap counts every token
+        FreeWord.parse(f"x1^{MAX_WORD_LETTERS} x2", 2)
+    with pytest.raises(WordError):
+        BraidWord.parse(f"s1^{MAX_WORD_LETTERS} -1", 2)
+    assert FreeWord.parse("x2^0 x1", 2) == FreeWord.generator(2, 1)
+    with pytest.raises(WordError):
+        FreeWord.parse("x3^0", 2)
 
 
 def test_free_word_parse_round_trip():
