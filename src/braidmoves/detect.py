@@ -125,9 +125,10 @@ def enumerate_simple(n: int, depth: int) -> list[SimpleClass]:
 # -- verification ---------------------------------------------------------
 
 
-def _loop_pairing_zero(yloop: FreeWord, xloop: FreeWord) -> bool:
-    """Exact zero test of <[yloop]_y, [xloop]_x>, screened first."""
-    if loop_pairing_certainly_nonzero(yloop, xloop):
+def _loop_pairing_zero(yloop: FreeWord, xloop: FreeWord, memo: dict) -> bool:
+    """Exact zero test of <[yloop]_y, [xloop]_x>, screened first; memo
+    keeps the screen's per-loop sweeps for the rest of the scan."""
+    if loop_pairing_certainly_nonzero(yloop, xloop, memo):
         return False
     value = pair(fox_y(yloop), fox_x(xloop))
     # with the symbolic form taken, is_zero does not screen the loops again
@@ -170,12 +171,13 @@ def reducing_certificates(b: BraidWord, depth: int) -> Iterator[DetectionResult]
     tested first, then the negative-type one.  Every yielded certificate
     has been re-verified from scratch.
     """
+    memo: dict = {}
     for sc in enumerate_simple(b.n, depth):
         w = sc.word
         bw = b(w)
-        if _loop_pairing_zero(w.inverse(), bw):
+        if _loop_pairing_zero(w.inverse(), bw, memo):
             kind = REDUCE_POSITIVE
-        elif _loop_pairing_zero(bw.inverse(), w):
+        elif _loop_pairing_zero(bw.inverse(), w, memo):
             kind = REDUCE_NEGATIVE
         else:
             continue
@@ -213,13 +215,14 @@ def exchange_certificates(b: BraidWord, depth: int) -> Iterator[DetectionResult]
     xn = FreeWord.generator(n, n)
     seen: set[tuple[FreeWord, FreeWord]] = set()
     yielded: set[tuple[FreeWord, FreeWord]] = set()
+    memo: dict = {}
 
     for psi in braid_words(n, depth):
         vw, ww = psi(xn1), psi(xn)
         if (vw, ww) in seen:
             continue
         seen.add((vw, ww))
-        if not _loop_pairing_zero(vw.inverse(), b(ww)):
+        if not _loop_pairing_zero(vw.inverse(), b(ww), memo):
             continue
         v = SimpleClass(vw, psi, n - 1)
         w = SimpleClass(ww, psi, n)
@@ -238,9 +241,9 @@ def exchange_certificates(b: BraidWord, depth: int) -> Iterator[DetectionResult]
         for w in classes:
             if (v.word, w.word) in yielded:
                 continue
-            if not _loop_pairing_zero(v.word.inverse(), w.word):
+            if not _loop_pairing_zero(v.word.inverse(), w.word, memo):
                 continue
-            if not _loop_pairing_zero(v.word.inverse(), b(w.word)):
+            if not _loop_pairing_zero(v.word.inverse(), b(w.word), memo):
                 continue
             _reverify_exchange(b, v, w)
             yield DetectionResult(

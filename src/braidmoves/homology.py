@@ -25,15 +25,14 @@ tested for zero.
 
 Each derivation is computed by one sweep (sweep_x, sweep_y) that runs in
 any ring: fox_x/fox_y run it in ZF_n, tau_components_x/y in the Magnus
-matrices, and modcheck in the matrices mod p.
+matrices, and modcheck on probe vectors mod p (a row times the y-side
+prefix, the x-side suffix times a column).
 
 Classes built from a loop word carry that word as provenance; the star
 correspondence and the braid action use it ([w]^* = [w^-1] in the other
-module, and beta.[w] = [beta(w)]).  Detection always goes through this
-free-group route.  For the tests, which check it against the matrix route,
-the module keeps the right action of a braid on tau-evaluated y-side
-vectors; the left action on x-side vectors is the block matrix of the
-braid acting on a column (krammer.tau_plus_act).
+module, and beta.[w] = [beta(w)]).  The braid action here is this
+free-group route alone; the tests check it against the matrix-level
+actions on tau-evaluated vectors, which live with them.
 """
 
 from __future__ import annotations
@@ -270,7 +269,9 @@ class HomologyClassY:
 # A sweep takes the ring's identity, its zero and image(idx, sign), the
 # image of the letter idx^sign; in ZF_n the images are FreeWords and the
 # accumulators GroupRingElements.  It keeps the image of the running suffix
-# or prefix, so it makes one pass over the word.
+# or prefix, so it makes one pass over the word.  Passing a column (x-side)
+# or a row (y-side) as one, with the zero of its shape, gives each
+# component times that vector.
 
 
 def sweep_x(w: FreeWord, one, zero, image) -> tuple:
@@ -425,12 +426,11 @@ def tau_components_y(w: FreeWord) -> tuple[MagnusElement, ...]:
     return sweep_y(w, one, zero, partial(_tau_y, w.n))
 
 
-# -- matrix-level actions (cross-validation only) ------------------------
+# -- tau-evaluation of classes --------------------------------------------
 #
-# The generator actions on tau-evaluated coefficient vectors.  Detection
-# never calls them; the tests use them to check the free-group route
-# against the matrix route.  The left action on an x-side vector is the
-# block matrix of the braid acting on a column (krammer.tau_plus_act).
+# tau applied coefficient by coefficient; the pairing module uses it for
+# classes without a loop word, and the tests use it to check the sweeps
+# and the matrix-level braid actions (tests/_vectors.py).
 
 XVector = tuple[MagnusElement, ...]
 YVector = tuple[MagnusElement, ...]
@@ -442,40 +442,3 @@ def evaluate_x(v: HomologyClassX) -> XVector:
 
 def evaluate_y(w: HomologyClassY) -> YVector:
     return tuple(tau(c) if c else MagnusElement.zero(w.n + 1) for c in w.coeffs)
-
-
-def x_vector_right_mul(vec: XVector, m: MagnusElement) -> XVector:
-    return tuple(r * m for r in vec)
-
-
-def y_vector_apply_sigma(n: int, i: int, sign: int, vec: YVector) -> YVector:
-    """Right action of sigma_i^sign on a y-side coefficient vector."""
-    out = list(vec)
-    ts = tau(BraidWord.generator(n, i, sign))
-    one = MagnusElement.identity(n + 1)
-    yi = tau(y_basis_word(i, n))
-    if sign == -1:
-        ci, cj = vec[i - 1], vec[i]
-        yj = tau(y_basis_word(i + 1, n))
-        out[i - 1] = ci * (one - yi) * ts + cj * ts
-        out[i] = ci * yj * ts
-    else:
-        ci, cj = vec[i - 1], vec[i]
-        fwd = ts * tau(y_basis_word(i + 1, n).inverse())  # tau(sigma_i y_{i+1}^-1)
-        out[i - 1] = cj * fwd
-        out[i] = ci * ts - cj * fwd * (one - yi)
-    for k in range(n):
-        if k not in (i - 1, i):
-            out[k] = vec[k] * ts
-    return tuple(out)
-
-
-def y_vector_act(vec: YVector, b: BraidWord) -> YVector:
-    """Right action of a braid word: v . (gh) = (v . g) . h."""
-    for i, sign in b.letters:
-        vec = y_vector_apply_sigma(b.n, i, sign, vec)
-    return vec
-
-
-def y_vector_left_mul(m: MagnusElement, vec: YVector) -> YVector:
-    return tuple(m * c for c in vec)

@@ -1,4 +1,4 @@
-"""Fast nonzero certificates via an evaluation homomorphism.
+"""Fast nonzero certificates via an evaluation homomorphism and a probe.
 
 Sending q, t to fixed units of Z/p (p prime) is a ring homomorphism from
 Z[q^±1, t^±1], so a pairing value whose image is nonzero is exactly
@@ -8,14 +8,27 @@ decides zero.  The evaluation points are fixed constants, so detection
 output is deterministic; a nonzero value that happens to vanish at the
 points only costs time, never correctness.
 
-The screen runs the Fox sweeps of the homology module and the pairing sum
-of the pairing module in the ring of matrices mod p, on the reductions of
-the exact generator tables.
+The screen does not form the (n+1)x(n+1) image S of the pairing value.
+It forms the scalar u^T S v for a fixed probe row u and probe column v
+(a Freivalds-style check): u^T S v != 0 implies S != 0 mod p, which
+implies the exact value is nonzero.  A nonzero S that the probe misses
+only goes on to the exact decision.  Since S = sum_i C_i T_i M_i, the
+scalar is sum_i (u^T C_i) T_i (M_i v), and the vectors u^T C_i and M_i v
+come from the Fox sweeps of the homology module run over the probe
+vectors instead of the identity matrix, on the reductions of the exact
+generator tables; the pairing module's sum adds the terms.  Each vector
+update costs O(n^2), not the O(n^3) of a matrix product.
+
+The y-side vectors depend only on the y-loop and the x-side vectors only
+on the x-loop.  A detection scan passes one dict as memo to every screen
+it runs, so each loop is swept once per scan; the dict lives as long as
+the scan, and every scan starts cold.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, partial
+from operator import mul
 
 from .homology import _tau_y, sweep_x, sweep_y
 from .laurent import LaurentPoly
@@ -26,6 +39,8 @@ from .words import FreeWord
 P = (1 << 61) - 1
 Q0 = 1234567891
 T0 = 987654323
+U0 = 0x2545F4914F6CDD1D % P  # ratios of the probe entries, unrelated to Q0, T0
+V0 = 0x9E3779B97F4A7C15 % P
 
 
 def poly_mod(p: LaurentPoly) -> int:
@@ -36,7 +51,8 @@ def poly_mod(p: LaurentPoly) -> int:
 
 
 class ModMatrix:
-    """A square matrix over Z/P, the image of a Magnus element."""
+    """A matrix over Z/P: the image of a Magnus element, or a probe vector
+    (one row or one column)."""
 
     __slots__ = ("rows",)
 
@@ -56,14 +72,14 @@ class ModMatrix:
 
     @staticmethod
     @lru_cache(maxsize=None)
-    def zero(size: int) -> ModMatrix:
-        return ModMatrix(tuple((0,) * size for _ in range(size)))
+    def zero(rows: int, cols: int) -> ModMatrix:
+        return ModMatrix(((0,) * cols,) * rows)
 
     def __mul__(self, other: ModMatrix) -> ModMatrix:
         cols = tuple(zip(*other.rows))
         return ModMatrix(
             tuple(
-                tuple(sum(x * y for x, y in zip(row, col)) % P for col in cols)
+                tuple(sum(map(mul, row, col)) % P for col in cols)
                 for row in self.rows
             )
         )
@@ -108,12 +124,27 @@ def t_mod(n: int, i: int) -> ModMatrix:
     return ModMatrix.reduce(t_element(n, i))
 
 
-def _screen(yloop: FreeWord, xloop: FreeWord) -> bool:
+@lru_cache(maxsize=None)
+def _probes(size: int) -> tuple[ModMatrix, ModMatrix]:
+    """The probe row u and the probe column v: u_k = U0^k, v_k = V0^k mod P,
+    all nonzero."""
+    u = ModMatrix((tuple(pow(U0, k, P) for k in range(1, size + 1)),))
+    v = ModMatrix(tuple((pow(V0, k, P),) for k in range(1, size + 1)))
+    return u, v
+
+
+def _screen(yloop: FreeWord, xloop: FreeWord, memo: dict | None = None) -> bool:
+    """u^T S v != 0 for the image S of <[yloop]_y, [xloop]_x> mod P."""
     n = yloop.n
-    one, zero = ModMatrix.identity(n + 1), ModMatrix.zero(n + 1)
-    ymats = sweep_y(yloop, one, zero, partial(y_mod, n))
-    xmats = sweep_x(xloop, one, zero, partial(x_mod, n))
-    return not pairing_sum(ymats, xmats, partial(t_mod, n), zero).is_zero()
+    u, v = _probes(n + 1)
+    memo = {} if memo is None else memo
+    ykey, xkey = ("y", yloop), ("x", xloop)
+    if ykey not in memo:
+        memo[ykey] = sweep_y(yloop, u, ModMatrix.zero(1, n + 1), partial(y_mod, n))
+    if xkey not in memo:
+        memo[xkey] = sweep_x(xloop, v, ModMatrix.zero(n + 1, 1), partial(x_mod, n))
+    value = pairing_sum(memo[ykey], memo[xkey], partial(t_mod, n), ModMatrix.zero(1, 1))
+    return not value.is_zero()
 
 
 def pairing_certainly_nonzero(yc, xc) -> bool:
@@ -126,6 +157,12 @@ def pairing_certainly_nonzero(yc, xc) -> bool:
     return _screen(yc.loop, xc.loop)
 
 
-def loop_pairing_certainly_nonzero(yloop: FreeWord, xloop: FreeWord) -> bool:
-    """Screen <[yloop]_y, [xloop]_x> without building the classes at all."""
-    return _screen(yloop, xloop)
+def loop_pairing_certainly_nonzero(
+    yloop: FreeWord, xloop: FreeWord, memo: dict | None = None
+) -> bool:
+    """Screen <[yloop]_y, [xloop]_x> without building the classes at all.
+
+    memo, when given, keeps the probed sweep of each loop for later calls
+    with the same dict; the answer does not depend on it.
+    """
+    return _screen(yloop, xloop, memo)

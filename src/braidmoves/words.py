@@ -48,6 +48,23 @@ def _inverse(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
     return tuple((i, -s) for i, s in reversed(letters))
 
 
+def _join(a: tuple[Letter, ...], b: tuple[Letter, ...]) -> tuple[Letter, ...]:
+    """The reduced form of a + b for reduced a and b: only the junction
+    can cancel."""
+    k, top = 0, min(len(a), len(b))
+    while k < top and a[-1 - k][0] == b[k][0] and a[-1 - k][1] == -b[k][1]:
+        k += 1
+    return a[: len(a) - k] + b[k:]
+
+
+def _trusted(cls, n: int, letters: tuple[Letter, ...]):
+    """A word of cls from letters already checked against n and reduced."""
+    word = object.__new__(cls)
+    object.__setattr__(word, "n", n)
+    object.__setattr__(word, "letters", letters)
+    return word
+
+
 class WordError(ValueError):
     """Malformed word text or out-of-range generator index."""
 
@@ -115,7 +132,7 @@ class FreeWord:
     def __mul__(self, other: FreeWord) -> FreeWord:
         if self.n != other.n:
             raise WordError(f"puncture count mismatch: {self.n} vs {other.n}")
-        return FreeWord(self.n, self.letters + other.letters)
+        return _trusted(FreeWord, self.n, _join(self.letters, other.letters))
 
     def inverse(self) -> FreeWord:
         return FreeWord(self.n, _inverse(self.letters))
@@ -179,7 +196,7 @@ class BraidWord:
     def __mul__(self, other: BraidWord) -> BraidWord:
         if self.n != other.n:
             raise WordError(f"strand count mismatch: {self.n} vs {other.n}")
-        return BraidWord(self.n, self.letters + other.letters)
+        return _trusted(BraidWord, self.n, _join(self.letters, other.letters))
 
     def inverse(self) -> BraidWord:
         return BraidWord(self.n, _inverse(self.letters))

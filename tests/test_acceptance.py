@@ -8,6 +8,7 @@ import functools
 import random
 import time
 
+from _vectors import x_vector_right_mul, y_vector_act
 from braidmoves.detect import (
     REDUCE_NEGATIVE,
     detect_exchange,
@@ -27,8 +28,6 @@ from braidmoves.homology import (
     star_x_components,
     star_x_to_y,
     tau_components_x,
-    x_vector_right_mul,
-    y_vector_act,
 )
 from braidmoves.krammer import entry, is_identity, tau_plus, tau_plus_act, tau_plus_column
 from braidmoves.laurent import ONE, Q, T, LaurentPoly

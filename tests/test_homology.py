@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from _vectors import x_vector_right_mul, y_vector_act, y_vector_left_mul
 from braidmoves.homology import (
     GroupRingElement,
     HomologyClassX,
@@ -17,9 +18,6 @@ from braidmoves.homology import (
     star_y_to_x,
     tau_components_x,
     tau_components_y,
-    x_vector_right_mul,
-    y_vector_act,
-    y_vector_left_mul,
 )
 from braidmoves.krammer import tau_plus_act
 from braidmoves.magnus import tau

@@ -1,15 +1,21 @@
 """The mod-p screen against the exact route.
 
 The screen runs the same Fox sweeps and pairing sum as the exact
-evaluation, over the reductions of the generator tables; it must agree
-with the reduction of the exact values, and a nonzero answer must mean an
-exact nonzero.
+evaluation, over the reductions of the generator tables and the probe
+vectors; the matrix sweeps must agree with the reduction of the exact
+values, the probe must agree with the full matrix image, and a nonzero
+answer must mean an exact nonzero.
 """
 
 import random
+import sys
 from functools import partial
 
-from braidmoves.detect import REDUCE_POSITIVE, reducing_certificates
+from braidmoves.detect import (
+    REDUCE_POSITIVE,
+    exchange_certificates,
+    reducing_certificates,
+)
 from braidmoves.homology import (
     fox_x,
     fox_y,
@@ -22,10 +28,11 @@ from braidmoves.modcheck import (
     ModMatrix,
     loop_pairing_certainly_nonzero,
     pairing_certainly_nonzero,
+    t_mod,
     x_mod,
     y_mod,
 )
-from braidmoves.pairing import pair
+from braidmoves.pairing import pair, pairing_sum
 from braidmoves.words import BraidWord, FreeWord, y_basis_word
 
 BETA2 = BraidWord.parse("-2 -2 -1 -2 -3 2 2 2 1 2 3", 4)
@@ -53,7 +60,7 @@ def test_mod_sweeps_are_reductions_of_exact_sweeps():
     for _ in range(60):
         n = rng.randrange(3, 6)
         w = rand_loop(rng, n)
-        one, zero = ModMatrix.identity(n + 1), ModMatrix.zero(n + 1)
+        one, zero = ModMatrix.identity(n + 1), ModMatrix.zero(n + 1, n + 1)
         assert sweep_x(w, one, zero, partial(x_mod, n)) == tuple(
             ModMatrix.reduce(c) for c in tau_components_x(w)
         )
@@ -121,12 +128,97 @@ def test_detection_screens_each_candidate_once(monkeypatch):
     screened = []
     original = MC._screen
 
-    def counting(yloop, xloop):
+    def counting(yloop, xloop, *rest):
         screened.append((yloop, xloop))
-        return original(yloop, xloop)
+        return original(yloop, xloop, *rest)
 
     monkeypatch.setattr(MC, "_screen", counting)
     certs = list(reducing_certificates(BETA2, 0))
     assert len(certs) == 3
     # the three survivors went on to the exact decision without a repeat screen
     assert screened and len(screened) == len(set(screened))
+
+
+def matrix_verdict(y: FreeWord, x: FreeWord) -> bool:
+    """The full (n+1)x(n+1) image of the pairing mod P is nonzero."""
+    n = y.n
+    one, zero = ModMatrix.identity(n + 1), ModMatrix.zero(n + 1, n + 1)
+    ymats = sweep_y(y, one, zero, partial(y_mod, n))
+    xmats = sweep_x(x, one, zero, partial(x_mod, n))
+    return not pairing_sum(ymats, xmats, partial(t_mod, n), zero).is_zero()
+
+
+def loop_pairs(rng, count):
+    """Seeded B3-B5 loop pairs, half of them the known zeros
+    <[beta(x_i)^-1]_y, [beta(x_j)]_x> with i < j."""
+    pairs = []
+    for _ in range(count):
+        n = rng.randrange(3, 6)
+        beta = rand_braid(rng, n, 5)
+        if rng.random() < 0.5:
+            i, j = sorted(rng.sample(range(1, n + 1), 2))
+            pairs.append((beta(FreeWord.generator(n, i)).inverse(), beta(FreeWord.generator(n, j))))
+        else:
+            pairs.append((rand_loop(rng, n), rand_loop(rng, n)))
+    return pairs
+
+
+def test_probe_verdict_equals_full_matrix_verdict():
+    rng = random.Random(1103)
+    verdicts = set()
+    for y, x in loop_pairs(rng, 120):
+        verdict = loop_pairing_certainly_nonzero(y, x)
+        assert verdict == matrix_verdict(y, x), (str(y), str(x))
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_shared_memo_verdicts_equal_one_shot_verdicts():
+    rng = random.Random(1104)
+    n = 4
+    loops = [rand_loop(rng, n) for _ in range(12)]
+    loops += [rand_braid(rng, n, 4)(FreeWord.generator(n, k)) for k in range(1, n + 1)]
+    # some loops serve as a y-loop in one pair and an x-loop in another
+    loops += [w.inverse() for w in loops[:4]]
+    pairs = [(y.inverse(), x) for y in loops for x in loops]
+    rng.shuffle(pairs)
+    memo: dict = {}
+    verdicts = set()
+    for y, x in pairs:
+        verdict = loop_pairing_certainly_nonzero(y, x, memo)
+        assert verdict == loop_pairing_certainly_nonzero(y, x), (str(y), str(x))
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+    # one sweep per distinct loop and side
+    assert len(memo) == len({y for y, _ in pairs}) + len({x for _, x in pairs})
+
+
+def _cache_misses() -> int:
+    """Misses of every lru cache of braidmoves except tau on words, at module
+    level or on a class."""
+    import braidmoves.magnus as M
+
+    caches = {}
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] != "braidmoves" or mod is None:
+            continue
+        for value in vars(mod).values():
+            members = vars(value).values() if isinstance(value, type) else ()
+            for v in (value, *members):
+                v = getattr(v, "__func__", v)
+                if hasattr(v, "cache_info") and v is not M._tau_word:
+                    caches[id(v)] = v
+    return sum(c.cache_info().misses for c in caches.values())
+
+
+def test_scans_keep_no_loop_keyed_cache():
+    warm = BraidWord.parse("1 2 -3 2 1 -2", 4)
+    for b in (warm, BETA2):
+        list(reducing_certificates(b, 1))
+        list(exchange_certificates(b, 1))
+    before = _cache_misses()
+    other = BraidWord.parse("-2 -2 1 -2 3 2 2 2 -1 2 -3", 4)
+    assert list(reducing_certificates(other, 1)) == []
+    list(exchange_certificates(other, 1))
+    # every loop of the second scan is new, so a loop-keyed cache would miss
+    assert _cache_misses() == before

@@ -121,7 +121,8 @@ def test_conjugation_equivariance():
 
 def test_adjointness():
     # <v beta, w> = <v, beta w> with the matrix-level named actions
-    from braidmoves.homology import evaluate_x, evaluate_y, y_vector_act
+    from _vectors import y_vector_act
+    from braidmoves.homology import evaluate_x, evaluate_y
     from braidmoves.krammer import tau_plus_act
     from braidmoves.pairing import pairing_sum
 

@@ -206,3 +206,30 @@ def test_free_word_random_splits(w):
         left = FreeWord(4, w.letters[:k])
         right = FreeWord(4, w.letters[k:])
         assert left * right == w
+
+
+def test_products_cancel_at_the_junction_like_full_reduction():
+    # a product reduces only where the two reduced words meet; it must give
+    # the word that full reduction of the concatenation gives
+    rng = random.Random(1201)
+
+    def rand_letters(top, k):
+        return tuple((rng.randrange(1, top + 1), rng.choice([1, -1])) for _ in range(k))
+
+    for cls, top in ((FreeWord, lambda n: n), (BraidWord, lambda n: n - 1)):
+        for _ in range(300):
+            n = rng.randrange(2, 6)
+            a = cls(n, rand_letters(top(n), rng.randrange(0, 12)))
+            b = cls(n, rand_letters(top(n), rng.randrange(0, 12)))
+            k = rng.randrange(0, len(a) + 1)
+            # b cancels k letters of a, then continues at random
+            b = rng.choice([b, cls(n, a.inverse().letters[:k] + b.letters), a.inverse()])
+            product = a * b
+            assert product == cls(n, a.letters + b.letters)
+            assert hash(product) == hash(cls(n, a.letters + b.letters))
+            assert product.n == n
+        w = cls(4, rand_letters(3, 9))
+        assert (w * w.inverse()).letters == ()
+        assert (w.inverse() * w) == cls.identity(4)
+        with pytest.raises(WordError):
+            w * cls.identity(5)
