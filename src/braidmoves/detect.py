@@ -91,6 +91,28 @@ class DetectionResult:
 
 # -- enumeration ---------------------------------------------------------
 
+MAX_ENUM_WORDS = 100_000
+"""The most raw braid words of the longest length, (2(n-1))^depth, that an
+enumeration may walk."""
+
+
+def check_depth(n: int, depth: int) -> None:
+    """Reject a negative depth, or one with more than MAX_ENUM_WORDS raw
+    words of length depth.  The count grows one factor at a time, so a
+    huge depth fails at once."""
+    if depth < 0:
+        raise WordError("depth must be >= 0")
+    width, count = 2 * (n - 1), 1
+    if width <= 1:
+        return
+    for _ in range(depth):
+        count *= width
+        if count > MAX_ENUM_WORDS:
+            raise WordError(
+                f"depth {depth} on {n} strands enumerates {width}^{depth} braid "
+                f"words, more than {MAX_ENUM_WORDS}"
+            )
+
 
 def braid_words(n: int, depth: int) -> Iterator[BraidWord]:
     """All braid words of length <= depth, in (length, letter-lex) order.
@@ -98,9 +120,12 @@ def braid_words(n: int, depth: int) -> Iterator[BraidWord]:
     The letter order is sigma_1, sigma_1^-1, sigma_2, sigma_2^-1, ...
     Raw letter tuples are normalized, so reducible words repeat earlier
     entries; callers deduplicate by whatever they compute from the braid.
+    The depth is checked (check_depth) before the first word.
     """
+    check_depth(n, depth)
     alphabet = [(i, s) for i in range(1, n) for s in (1, -1)]
-    for length in range(depth + 1):
+    # B_1 has no letters: the empty word is its only word at every depth
+    for length in range(depth + 1 if alphabet else 1):
         for letters in itertools.product(alphabet, repeat=length):
             yield BraidWord(n, letters)
 
@@ -111,8 +136,6 @@ def enumerate_simple(n: int, depth: int) -> list[SimpleClass]:
     Each class keeps the first braid that produced it, which by the
     enumeration order is a shortest witness (lex tie-break).
     """
-    if depth < 0:
-        raise WordError("depth must be >= 0")
     seen: dict[FreeWord, SimpleClass] = {}
     for beta in braid_words(n, depth):
         for k in range(1, n + 1):

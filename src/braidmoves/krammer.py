@@ -21,14 +21,35 @@ Words map to products of generator images.  This route never touches Fox
 calculus; its agreement with the free-group route (tau of the components
 of [beta(x_j)]_x equals column j times tau(beta)^-1 blockwise) is one of
 the cross-validation invariants in the test suite.
+
+The products do not multiply blocks.  Each generator image is flattened
+to an n(n+1) x n(n+1) matrix and kept as a table of its rows: a row whose
+only nonzero entry is the ring's one is a copy of one entry of the column
+it acts on, and every other row keeps its nonzero entries.  One function
+(_push) runs flat columns through these tables, rightmost letter first,
+in any ring given the ring's dot product: tau_plus_act pushes the n+1
+flat columns of a block column, tau_plus assembles the matrix from its n
+block columns, and the identity screen pushes a probe column through the
+tables reduced mod P.  The tables are built on first use, once per
+(n, i, sign).  BlockMatrix.__mul__, the generic block product, stays as
+the reference the tests hold them to.
+
+is_identity screens first: with the evaluation points and probe vectors
+of the modcheck module, u^T M v != u^T v mod P for the image M of b
+proves M != I, so b is nontrivial.  Only a braid the screen does not
+certify is multiplied out exactly.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import itemgetter, mul
 from typing import Sequence
 
+from . import magnus
+from .laurent import ONE
 from .magnus import MagnusElement, tau
+from .modcheck import P, dot_mod, poly_mod, probe_vectors
 from .words import BraidWord, FreeWord, WordError
 
 
@@ -87,21 +108,6 @@ class BlockMatrix:
             out.append(tuple(row))
         return BlockMatrix(n, tuple(out))
 
-    def apply_to_column(self, col: Sequence[MagnusElement]) -> tuple[MagnusElement, ...]:
-        """Matrix times a block column vector."""
-        n = self.n
-        zero = MagnusElement.zero(n + 1)
-        out = []
-        for r in range(n):
-            acc = zero
-            for k in range(n):
-                a = self.blocks[r][k]
-                if a.is_zero() or col[k].is_zero():
-                    continue
-                acc = acc + a * col[k]
-            out.append(acc)
-        return tuple(out)
-
     def column(self, j: int) -> tuple[MagnusElement, ...]:
         """Column j as a block vector, 1-based."""
         return tuple(self.blocks[r][j - 1] for r in range(self.n))
@@ -150,21 +156,76 @@ def tau_plus_generator(n: int, i: int, sign: int = 1) -> BlockMatrix:
     return BlockMatrix(n, tuple(tuple(r) for r in rows))
 
 
+# -- the sparse action (see the module docstring) --------------------------
+
+
+@lru_cache(maxsize=None)
+def _rows(n: int, i: int, sign: int) -> tuple:
+    """The table of sigma_i^sign acting on a flat column on the left.
+
+    Flat row r(n+1) + a holds row a of the blocks in block row r.  The
+    table is an itemgetter that copies entry k of the column for each row
+    that is one at k and zero elsewhere, and the (c, ((k, g), ...)) nonzero
+    entries of every other row c.
+    """
+    copy, dense = [], []
+    for brow in tau_plus_generator(n, i, sign).blocks:
+        for a in range(n + 1):
+            c = len(copy)
+            line = [p for block in brow for p in block.entries[a]]
+            live = tuple((k, g) for k, g in enumerate(line) if g)
+            if len(live) == 1 and live[0][1] == ONE:
+                copy.append(live[0][0])
+            else:
+                copy.append(c)  # overwritten by the dense entry
+                dense.append((c, live))
+    return itemgetter(*copy), tuple(dense)
+
+
+@lru_cache(maxsize=None)
+def _rows_mod(n: int, i: int, sign: int) -> tuple:
+    """_rows(n, i, sign) reduced mod P."""
+    copy, dense = _rows(n, i, sign)
+    return copy, tuple((c, tuple((k, poly_mod(g)) for k, g in live)) for c, live in dense)
+
+
+def _push(b: BraidWord, vecs: list, tables, dot) -> list:
+    """Flat columns through the image of b, rightmost letter first, in any
+    ring: tables(n, i, sign) gives the generator tables, and dot(entries,
+    vec) the sum of g * vec[k] over the (k, g) entries of a row."""
+    n = b.n
+    for i, sign in reversed(b.letters):
+        copy, dense = tables(n, i, sign)
+        out = []
+        for vec in vecs:
+            new = list(copy(vec))
+            for c, live in dense:
+                new[c] = dot(live, vec)
+            out.append(new)
+        vecs = out
+    return vecs
+
+
 def tau_plus(b: BraidWord) -> BlockMatrix:
-    """The block matrix of a braid word (product of generator images)."""
-    acc = BlockMatrix.identity(b.n)
-    for i, sign in b.letters:
-        acc = acc * tau_plus_generator(b.n, i, sign)
-    return acc
+    """The block matrix of a braid word (product of generator images),
+    assembled from its block columns."""
+    columns = [tau_plus_column(b, j) for j in range(1, b.n + 1)]
+    return BlockMatrix(b.n, tuple(zip(*columns)))
 
 
 def tau_plus_act(b: BraidWord, col: Sequence[MagnusElement]) -> tuple[MagnusElement, ...]:
     """The block matrix of b times a block column, one generator at a time
     (rightmost letter first), without forming the full product."""
+    m = b.n + 1
     col = tuple(col)
-    for i, sign in reversed(b.letters):
-        col = tau_plus_generator(b.n, i, sign).apply_to_column(col)
-    return col
+    # the block column as m flat columns of length n(n+1)
+    vecs = [[blk.entries[a][c] for blk in col for a in range(m)] for c in range(m)]
+    # magnus._dot is looked up per call: perfbench's counting pass replaces it
+    vecs = _push(b, vecs, _rows, magnus._dot)
+    return tuple(
+        MagnusElement(tuple(tuple(v[k * m + a] for v in vecs) for a in range(m)))
+        for k in range(b.n)
+    )
 
 
 def tau_plus_column(b: BraidWord, j: int) -> tuple[MagnusElement, ...]:
@@ -187,6 +248,25 @@ def entry(b: BraidWord, i: int, j: int) -> MagnusElement:
     return tau_plus_column(b, j)[i - 1]
 
 
+def certainly_not_identity(b: BraidWord) -> bool:
+    """True only when b is exactly nontrivial in B_n.
+
+    Pushes the probe column v through the generator tables mod P and tests
+    u^T M v != u^T v for the image M of b: then M != I mod P, so M != I.
+    False says nothing.
+    """
+    n = b.n
+    u, v = probe_vectors(n * (n + 1))
+    (mv,) = _push(b, [v], _rows_mod, dot_mod)
+    return sum(map(mul, u, mv)) % P != sum(map(mul, u, v)) % P
+
+
 def is_identity(b: BraidWord) -> bool:
-    """Decide triviality of b in B_n (the representation is faithful)."""
+    """Decide triviality of b in B_n (the representation is faithful).
+
+    The mod-P screen answers False for every braid it certifies; the rest
+    go on to the exact block matrix.
+    """
+    if certainly_not_identity(b):
+        return False
     return tau_plus(b).is_identity()

@@ -23,6 +23,12 @@ The y-side vectors depend only on the y-loop and the x-side vectors only
 on the x-loop.  A detection scan passes one dict as memo to every screen
 it runs, so each loop is swept once per scan; the dict lives as long as
 the scan, and every scan starts cold.
+
+The word problem uses the same points and probes (probe_vectors, dot_mod):
+krammer.is_identity pushes a probe column of length n(n+1) through the
+sparse generator tables of the block representation reduced mod P, one
+O(n^2)-sized update per letter, and u^T M v != u^T v certifies that the
+braid is nontrivial before any exact product is formed.
 """
 
 from __future__ import annotations
@@ -125,12 +131,24 @@ def t_mod(n: int, i: int) -> ModMatrix:
 
 
 @lru_cache(maxsize=None)
+def probe_vectors(size: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The probe entries u_k = U0^k and v_k = V0^k mod P, k = 1..size, all
+    nonzero."""
+    return (
+        tuple(pow(U0, k, P) for k in range(1, size + 1)),
+        tuple(pow(V0, k, P) for k in range(1, size + 1)),
+    )
+
+
 def _probes(size: int) -> tuple[ModMatrix, ModMatrix]:
-    """The probe row u and the probe column v: u_k = U0^k, v_k = V0^k mod P,
-    all nonzero."""
-    u = ModMatrix((tuple(pow(U0, k, P) for k in range(1, size + 1)),))
-    v = ModMatrix(tuple((pow(V0, k, P),) for k in range(1, size + 1)))
-    return u, v
+    """The probe row u and the probe column v as matrices."""
+    u, v = probe_vectors(size)
+    return ModMatrix((u,)), ModMatrix(tuple((x,) for x in v))
+
+
+def dot_mod(live, vec) -> int:
+    """The sum of g * vec[k] over the (k, g) pairs of live, mod P."""
+    return sum(g * vec[k] for k, g in live) % P
 
 
 def _screen(yloop: FreeWord, xloop: FreeWord, memo: dict | None = None) -> bool:

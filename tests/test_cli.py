@@ -155,6 +155,16 @@ def test_oversized_words_rejected(capsys):
         assert code == EXIT_USAGE and "error" in err
 
 
+def test_oversized_depths_rejected(capsys):
+    for args in (
+        ("detect-reduce", "-n", "4", "--depth", "12", "1"),
+        ("detect-exchange", "-n", "4", "--depth", "999999999999", "1"),
+        ("enumerate-simple", "-n", "5", "--depth", "9"),
+    ):
+        code, _, err = run(capsys, *args)
+        assert code == EXIT_USAGE and "error" in err
+
+
 def test_seed_flag_accepted(capsys):
     code, out, _ = run(capsys, "--seed", "7", "is-identity", "-n", "2", "")
     assert code == EXIT_OK

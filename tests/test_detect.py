@@ -1,12 +1,15 @@
 import random
+import tracemalloc
 
 import pytest
 
 from braidmoves.detect import (
     EXCHANGE,
+    MAX_ENUM_WORDS,
     REDUCE_NEGATIVE,
     REDUCE_POSITIVE,
     braid_words,
+    check_depth,
     detect_exchange,
     detect_reducing,
     enumerate_simple,
@@ -20,7 +23,7 @@ from braidmoves.homology import fox_x, fox_y, star_x_to_y
 from braidmoves.krammer import entry, is_identity
 from braidmoves.magnus import MagnusElement, tau
 from braidmoves.pairing import pair
-from braidmoves.words import BraidWord, FreeWord
+from braidmoves.words import BraidWord, FreeWord, WordError
 
 BETA2 = BraidWord.parse("-2 -2 -1 -2 -3 2 2 2 1 2 3", 4)
 BETA1 = BraidWord.parse("-2 -2 -1 -2 3 2 2 2 1 2 -3", 4)
@@ -80,6 +83,40 @@ def test_enumerate_shortest_witness():
 def test_braid_words_order():
     ws = list(braid_words(2, 2))
     assert [str(w) for w in ws] == ["", "1", "-1", "1 1", "", "", "-1 -1"]
+
+
+def test_depth_bounds_checked_before_enumerating():
+    tracemalloc.start()
+    try:
+        for n, depth in ((4, 12), (4, 10**18), (5, 7), (3, 9)):
+            with pytest.raises(WordError):
+                check_depth(n, depth)
+            with pytest.raises(WordError):
+                next(braid_words(n, depth))
+            with pytest.raises(WordError):
+                detect_reducing(BraidWord.generator(n, 1), depth)
+            with pytest.raises(WordError):
+                detect_exchange(BraidWord.generator(n, 1), depth)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 200_000
+    with pytest.raises(WordError):
+        enumerate_simple(4, -1)
+    # the cap is on the (2(n-1))^depth words of the longest length
+    for n in range(2, 8):
+        width, depth = 2 * (n - 1), 0
+        while width ** (depth + 1) <= MAX_ENUM_WORDS:
+            depth += 1
+        check_depth(n, depth)
+        with pytest.raises(WordError):
+            check_depth(n, depth + 1)
+    # the detection depths in use stay accepted
+    for n, depth in ((3, 4), (4, 4), (5, 3)):
+        check_depth(n, depth)
+    # B_1 has no letters: one empty word at every depth, enumerated at once
+    assert list(braid_words(1, 10**18)) == [BraidWord.identity(1)]
+    assert len(enumerate_simple(1, 10**18)) == 1
 
 
 # -- reducing detection --------------------------------------------------------

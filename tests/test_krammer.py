@@ -5,9 +5,11 @@ import pytest
 from braidmoves.homology import fox_x, fox_y, tau_components_x
 from braidmoves.krammer import (
     BlockMatrix,
+    certainly_not_identity,
     entry,
     is_identity,
     tau_plus,
+    tau_plus_act,
     tau_plus_column,
     tau_plus_generator,
 )
@@ -164,3 +166,112 @@ def test_block_matrix_json():
         3, [[MagnusElement.from_json(b) for b in row] for row in data]
     )
     assert rebuilt == m
+
+
+# -- the sparse action against the generic block product ---------------------------
+
+
+def reference_tau_plus(b):
+    """The image of b as a product of generator block matrices, through the
+    generic BlockMatrix.__mul__."""
+    acc = BlockMatrix.identity(b.n)
+    for i, sign in b.letters:
+        acc = acc * tau_plus_generator(b.n, i, sign)
+    return acc
+
+
+def test_sparse_routes_equal_the_block_product():
+    rng = random.Random(31)
+    for _ in range(18):
+        n = rng.choice([3, 4, 5])
+        b = rand_braid(rng, n, 9 if n < 5 else 6)
+        ref = reference_tau_plus(b)
+        assert tau_plus(b) == ref
+        for j in range(1, n + 1):
+            assert tau_plus_column(b, j) == ref.column(j)
+            for i in range(1, n + 1):
+                assert entry(b, i, j) == ref.block(i, j)
+
+
+def test_sparse_action_on_a_block_column_equals_the_block_product():
+    # a column with no zero or identity blocks, so every table entry counts
+    rng = random.Random(32)
+    for _ in range(8):
+        n = rng.choice([3, 4])
+        b = rand_braid(rng, n, 7)
+        col = tuple(tau(rand_braid(rng, n, 3)).scale(k + 2) for k in range(n))
+        ref = reference_tau_plus(b)
+        expected = tuple(
+            sum((ref.block(r, k) * col[k - 1] for k in range(1, n + 1)), MagnusElement.zero(n + 1))
+            for r in range(1, n + 1)
+        )
+        assert tau_plus_act(b, col) == expected
+
+
+# -- the mod-p identity screen ---------------------------------------------------------
+
+
+def relator(rng, n):
+    i = rng.randrange(1, n - 1)
+    rel = BraidWord.parse(f"{i} {i + 1} {i} -{i + 1} -{i} -{i + 1}", n)
+    return rel if rng.random() < 0.5 else rel.inverse()
+
+
+def conjugated_relators(rng, n, pieces):
+    acc = BraidWord.identity(n)
+    for _ in range(pieces):
+        w = rand_braid(rng, n, 5)
+        acc = acc * w * relator(rng, n) * w.inverse()
+    return acc
+
+
+def respelled(rng, w):
+    """w with about half its letters replaced by equal five-letter words:
+    sigma_i = sigma_j sigma_i sigma_j sigma_i^-1 sigma_j^-1 for j = i +- 1."""
+    out = []
+    for i, s in w.letters:
+        js = [j for j in (i - 1, i + 1) if 1 <= j < w.n]
+        if rng.random() < 0.5:
+            j = rng.choice(js)
+            five = BraidWord(w.n, ((j, 1), (i, 1), (j, 1), (i, -1), (j, -1)))
+            out.extend((five if s == 1 else five.inverse()).letters)
+        else:
+            out.append((i, s))
+    return BraidWord(w.n, tuple(out))
+
+
+def test_screen_never_fires_on_trivial_words():
+    # conjugated relator products, and w w'^-1 and w'^-1 w for a respelling
+    # w' of w, which free reduction does not cancel
+    rng = random.Random(33)
+    for _ in range(40):
+        n = rng.choice([3, 4, 5])
+        w = rand_braid(rng, n, 10)
+        w2 = respelled(rng, w)
+        for b in (conjugated_relators(rng, n, 3), w * w2.inverse(), w2.inverse() * w):
+            assert not certainly_not_identity(b)
+            assert is_identity(b)
+
+
+def test_screen_answers_agree_with_the_exact_route():
+    # every word the screen certifies is nontrivial in the exact block
+    # matrix, and every word it leaves is trivial there: it misses no
+    # flipped relator product and no nontrivial random word of the sample
+    rng = random.Random(34)
+    certified = 0
+    for _ in range(40):
+        n = rng.choice([3, 4, 5])
+        flip = relator(rng, n)
+        flip = BraidWord(n, ((flip.letters[0][0], -flip.letters[0][1]),) + flip.letters[1:])
+        for b in (
+            conjugated_relators(rng, n, 2) * flip,
+            rand_braid(rng, n, 8 if n < 5 else 6),
+        ):
+            exact = tau_plus(b).is_identity()
+            if certainly_not_identity(b):
+                certified += 1
+                assert not exact
+                assert not is_identity(b)
+            else:
+                assert exact, f"the screen missed {b!r}"
+    assert certified >= 60

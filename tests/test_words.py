@@ -233,3 +233,4 @@ def test_products_cancel_at_the_junction_like_full_reduction():
         assert (w.inverse() * w) == cls.identity(4)
         with pytest.raises(WordError):
             w * cls.identity(5)
+
