@@ -17,19 +17,12 @@ from .krammer import entry, is_identity, tau_plus
 from .laurent import LaurentPoly
 from .magnus import burau_block, tau
 from .pairing import pair
-from .words import BraidWord, FreeWord, WordError
+from .words import BraidWord, FreeWord
 
 EXIT_OK = 0
 EXIT_NOT_FOUND = 10
 EXIT_USAGE = 2
 EXIT_INTERNAL = 70
-
-def _parse_free(text: str, n: int) -> FreeWord:
-    return FreeWord.parse(text, n)
-
-
-def _parse_braid(text: str, n: int) -> BraidWord:
-    return BraidWord.parse(text, n)
 
 
 def _emit(args, payload_json, payload_text: str) -> None:
@@ -42,7 +35,7 @@ def _emit(args, payload_json, payload_text: str) -> None:
 def _cmd_matrix(args) -> int:
     n = args.n
     if args.rep == "tau-plus":
-        m = tau_plus(_parse_braid(args.word, n))
+        m = tau_plus(BraidWord.parse(args.word, n))
         _emit(args, m.to_json(), "\n\n".join(
             "block (%d, %d):\n%s" % (i, j, m.block(i, j))
             for i in range(1, n + 1)
@@ -51,12 +44,12 @@ def _cmd_matrix(args) -> int:
         ))
         return EXIT_OK
     if args.rep == "burau":
-        m = burau_block(tau(_parse_braid(args.word, n)))
+        m = burau_block(tau(BraidWord.parse(args.word, n)))
     else:
         word = (
-            _parse_free(args.word, n)
+            FreeWord.parse(args.word, n)
             if "x" in args.word
-            else _parse_braid(args.word, n)
+            else BraidWord.parse(args.word, n)
         )
         m = tau(word)
         if args.rep == "rho":
@@ -68,23 +61,23 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_act(args) -> int:
-    b = _parse_braid(args.braid, args.n)
-    w = _parse_free(args.word, args.n)
+    b = BraidWord.parse(args.braid, args.n)
+    w = FreeWord.parse(args.word, args.n)
     img = b(w)
     _emit(args, {"word": str(img)}, str(img))
     return EXIT_OK
 
 
 def _cmd_fox(args) -> int:
-    w = _parse_free(args.word, args.n)
+    w = FreeWord.parse(args.word, args.n)
     cls = fox_y(w) if args.basis == "y" else fox_x(w)
     _emit(args, {"class": str(cls)}, str(cls))
     return EXIT_OK
 
 
 def _cmd_pair(args) -> int:
-    yw = _parse_free(args.y, args.n)
-    xw = _parse_free(args.x, args.n)
+    yw = FreeWord.parse(args.y, args.n)
+    xw = FreeWord.parse(args.x, args.n)
     value = pair(fox_y(yw), fox_x(xw))
     zero = value.is_zero()
     _emit(
@@ -96,14 +89,14 @@ def _cmd_pair(args) -> int:
 
 
 def _cmd_detect_reduce(args) -> int:
-    b = _parse_braid(args.word, args.n)
+    b = BraidWord.parse(args.word, args.n)
     result = _detect.detect_reducing(b, args.depth)
     _emit(args, result.to_json(), _describe(result))
     return EXIT_OK if result.found else EXIT_NOT_FOUND
 
 
 def _cmd_detect_exchange(args) -> int:
-    b = _parse_braid(args.word, args.n)
+    b = BraidWord.parse(args.word, args.n)
     result = _detect.detect_exchange(b, args.depth)
     if result.found and args.rewrite:
         # realizing braids typically need length about |b| beyond the
@@ -140,14 +133,14 @@ def _describe(result: _detect.DetectionResult) -> str:
 
 
 def _cmd_entry(args) -> int:
-    b = _parse_braid(args.word, args.n)
+    b = BraidWord.parse(args.word, args.n)
     m = entry(b, args.i, args.j)
     _emit(args, m.to_json(), str(m))
     return EXIT_OK
 
 
 def _cmd_is_identity(args) -> int:
-    b = _parse_braid(args.word, args.n)
+    b = BraidWord.parse(args.word, args.n)
     res = is_identity(b)
     _emit(args, {"identity": res}, str(res).lower())
     return EXIT_OK
@@ -161,7 +154,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_special_forms(args) -> int:
-    b = _parse_braid(args.word, args.n)
+    b = BraidWord.parse(args.word, args.n)
     report = _detect.special_form_tests(b)
     text = [
         f"r_(n,n) = 0 (reduction form): {report.reduction_form}",
@@ -261,10 +254,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except WordError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except ValueError as exc:  # WordError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (AssertionError, RuntimeError) as exc:

@@ -32,7 +32,8 @@ by running both tests.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 from .homology import HomologyClassX, fox_x, fox_y, star_x_to_y
@@ -58,11 +59,11 @@ class SimpleClass:
     word: FreeWord
     witness: BraidWord
     generator_index: int
-    xclass: HomologyClassX = field(compare=False, repr=False, default=None)  # type: ignore[assignment]
 
-    def __post_init__(self):
-        if self.xclass is None:
-            object.__setattr__(self, "xclass", fox_x(self.word))
+    @cached_property
+    def xclass(self) -> HomologyClassX:
+        """[word]_x, computed on first use."""
+        return fox_x(self.word)
 
     @property
     def n(self) -> int:

@@ -23,16 +23,18 @@ of [beta(x_j)]_x equals column j times tau(beta)^-1 blockwise) is one of
 the cross-validation invariants in the test suite.
 
 The products do not multiply blocks.  Each generator image is flattened
-to an n(n+1) x n(n+1) matrix and kept as a table of its rows: a row whose
-only nonzero entry is the ring's one is a copy of one entry of the column
-it acts on, and every other row keeps its nonzero entries.  One function
-(_push) runs flat columns through these tables, rightmost letter first,
-in any ring given the ring's dot product: tau_plus_act pushes the n+1
-flat columns of a block column, tau_plus assembles the matrix from its n
-block columns, and the identity screen pushes a probe column through the
-tables reduced mod P.  The tables are built on first use, once per
-(n, i, sign).  BlockMatrix.__mul__, the generic block product, stays as
-the reference the tests hold them to.
+to an n(n+1) x n(n+1) matrix and kept as a table of its rows, in the one
+sparse format that the mod-p screen uses too (magnus.row_table): a row
+whose only nonzero entry is one is a copy of one entry of the column it
+acts on, and every other row keeps its nonzero entries.  _push runs flat
+columns through these tables, rightmost letter first, one
+magnus.apply_table step per letter, in any ring given the ring's dot
+product: tau_plus_act pushes the n+1 flat columns of a block column,
+tau_plus assembles the matrix from its n block columns, and the identity
+screen pushes a probe column through the tables reduced mod P.  The
+tables are built on first use, once per (n, i, sign).
+BlockMatrix.__mul__, the generic block product, stays as the reference
+the tests hold them to.
 
 is_identity screens first: with the evaluation points and probe vectors
 of the modcheck module, u^T M v != u^T v mod P for the image M of b
@@ -43,13 +45,12 @@ certify is multiplied out exactly.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import itemgetter, mul
+from operator import mul
 from typing import Sequence
 
 from . import magnus
-from .laurent import ONE
-from .magnus import MagnusElement, tau
-from .modcheck import P, dot_mod, poly_mod, probe_vectors
+from .magnus import MagnusElement, apply_table, row_table, tau
+from .modcheck import P, dot_mod, probe_vectors, reduce_table
 from .words import BraidWord, FreeWord, WordError
 
 
@@ -161,48 +162,30 @@ def tau_plus_generator(n: int, i: int, sign: int = 1) -> BlockMatrix:
 
 @lru_cache(maxsize=None)
 def _rows(n: int, i: int, sign: int) -> tuple:
-    """The table of sigma_i^sign acting on a flat column on the left.
-
-    Flat row r(n+1) + a holds row a of the blocks in block row r.  The
-    table is an itemgetter that copies entry k of the column for each row
-    that is one at k and zero elsewhere, and the (c, ((k, g), ...)) nonzero
-    entries of every other row c.
-    """
-    copy, dense = [], []
-    for brow in tau_plus_generator(n, i, sign).blocks:
-        for a in range(n + 1):
-            c = len(copy)
-            line = [p for block in brow for p in block.entries[a]]
-            live = tuple((k, g) for k, g in enumerate(line) if g)
-            if len(live) == 1 and live[0][1] == ONE:
-                copy.append(live[0][0])
-            else:
-                copy.append(c)  # overwritten by the dense entry
-                dense.append((c, live))
-    return itemgetter(*copy), tuple(dense)
+    """The table of sigma_i^sign acting on a flat column on the left; flat
+    row r(n+1) + a holds row a of the blocks in block row r."""
+    blocks = tau_plus_generator(n, i, sign).blocks
+    return row_table(
+        [p for block in brow for p in block.entries[a]]
+        for brow in blocks
+        for a in range(n + 1)
+    )
 
 
 @lru_cache(maxsize=None)
 def _rows_mod(n: int, i: int, sign: int) -> tuple:
     """_rows(n, i, sign) reduced mod P."""
-    copy, dense = _rows(n, i, sign)
-    return copy, tuple((c, tuple((k, poly_mod(g)) for k, g in live)) for c, live in dense)
+    return reduce_table(_rows(n, i, sign))
 
 
 def _push(b: BraidWord, vecs: list, tables, dot) -> list:
     """Flat columns through the image of b, rightmost letter first, in any
-    ring: tables(n, i, sign) gives the generator tables, and dot(entries,
-    vec) the sum of g * vec[k] over the (k, g) entries of a row."""
+    ring: tables(n, i, sign) gives the generator tables, and dot the ring's
+    dot product (see magnus.apply_table)."""
     n = b.n
     for i, sign in reversed(b.letters):
-        copy, dense = tables(n, i, sign)
-        out = []
-        for vec in vecs:
-            new = list(copy(vec))
-            for c, live in dense:
-                new[c] = dot(live, vec)
-            out.append(new)
-        vecs = out
+        table = tables(n, i, sign)
+        vecs = [apply_table(table, vec, dot) for vec in vecs]
     return vecs
 
 

@@ -35,6 +35,7 @@ unreduced Burau matrices.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence, Union
 
 from .laurent import ONE, Q, T, ZERO, LaurentPoly
@@ -168,6 +169,38 @@ def _dot(live_row: list[tuple[int, LaurentPoly]], col: tuple[LaurentPoly, ...]) 
     poly = LaurentPoly.__new__(LaurentPoly)
     poly._terms = out
     return poly
+
+
+# -- sparse generator tables ----------------------------------------------
+#
+# A matrix acting on flat columns on the left, kept as a table of its rows:
+# an itemgetter that copies entry k of the column for each row that is ONE
+# at k and zero elsewhere, and the (c, ((k, g), ...)) nonzero entries of
+# every other row c.  The block representation (krammer) and the mod-p
+# screen (modcheck) keep every generator image in this one format.
+
+
+def row_table(rows) -> tuple:
+    """The table of the matrix with these rows (exact entries)."""
+    copy, dense = [], []
+    for c, line in enumerate(rows):
+        live = tuple((k, g) for k, g in enumerate(line) if g)
+        if len(live) == 1 and live[0][1] == ONE:
+            copy.append(live[0][0])
+        else:
+            copy.append(c)  # overwritten by the dense entry
+            dense.append((c, live))
+    return itemgetter(*copy), tuple(dense)
+
+
+def apply_table(table, vec, dot) -> list:
+    """The table times the flat column vec, in any ring: dot(entries, vec)
+    is the sum of g * vec[k] over the (k, g) entries of a row."""
+    copy, dense = table
+    new = list(copy(vec))
+    for c, live in dense:
+        new[c] = dot(live, vec)
+    return new
 
 
 # -- generator matrices -------------------------------------------------

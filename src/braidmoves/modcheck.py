@@ -14,19 +14,23 @@ It forms the scalar u^T S v for a fixed probe row u and probe column v
 implies the exact value is nonzero.  A nonzero S that the probe misses
 only goes on to the exact decision.  Since S = sum_i C_i T_i M_i, the
 scalar is sum_i (u^T C_i) T_i (M_i v), and the vectors u^T C_i and M_i v
-come from the Fox sweeps of the homology module run over the probe
-vectors instead of the identity matrix, on the reductions of the exact
-generator tables; the pairing module's sum adds the terms.  Each vector
-update costs O(n^2), not the O(n^3) of a matrix product.
+come from the Fox sweeps of the homology module run over flat probe
+vectors (ModVector) instead of the identity matrix; the pairing module's
+sum adds the terms.  Every generator image acts on those vectors through
+the one sparse table format of the block representation
+(magnus.row_table, magnus.apply_table), reduced mod P: x_mod acts on
+columns, and y_mod and t_mod, which act on rows, are the tables of the
+transposed images.  Each vector update costs at most O(n^2), not the
+O(n^3) of a matrix product.
 
 The y-side vectors depend only on the y-loop and the x-side vectors only
 on the x-loop.  A detection scan passes one dict as memo to every screen
 it runs, so each loop is swept once per scan; the dict lives as long as
 the scan, and every scan starts cold.
 
-The word problem uses the same points and probes (probe_vectors, dot_mod):
-krammer.is_identity pushes a probe column of length n(n+1) through the
-sparse generator tables of the block representation reduced mod P, one
+The word problem uses the same points, probes and tables (probe_vectors,
+reduce_table, dot_mod): krammer.is_identity pushes a probe column of
+length n(n+1) through the block generator tables reduced mod P, one
 O(n^2)-sized update per letter, and u^T M v != u^T v certifies that the
 braid is nontrivial before any exact product is formed.
 """
@@ -38,7 +42,7 @@ from operator import mul
 
 from .homology import _tau_y, sweep_x, sweep_y
 from .laurent import LaurentPoly
-from .magnus import MagnusElement, _tau_letter
+from .magnus import _tau_letter, apply_table, row_table
 from .pairing import pairing_sum, t_element
 from .words import FreeWord
 
@@ -56,78 +60,28 @@ def poly_mod(p: LaurentPoly) -> int:
     return total
 
 
-class ModMatrix:
-    """A matrix over Z/P: the image of a Magnus element, or a probe vector
-    (one row or one column)."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: tuple[tuple[int, ...], ...]):
-        self.rows = rows
-
-    @staticmethod
-    def reduce(m: MagnusElement) -> ModMatrix:
-        return ModMatrix(tuple(tuple(poly_mod(p) for p in row) for row in m.entries))
-
-    @staticmethod
-    @lru_cache(maxsize=None)
-    def identity(size: int) -> ModMatrix:
-        return ModMatrix(
-            tuple(tuple(1 if i == j else 0 for j in range(size)) for i in range(size))
-        )
-
-    @staticmethod
-    @lru_cache(maxsize=None)
-    def zero(rows: int, cols: int) -> ModMatrix:
-        return ModMatrix(((0,) * cols,) * rows)
-
-    def __mul__(self, other: ModMatrix) -> ModMatrix:
-        cols = tuple(zip(*other.rows))
-        return ModMatrix(
-            tuple(
-                tuple(sum(map(mul, row, col)) % P for col in cols)
-                for row in self.rows
-            )
-        )
-
-    def __add__(self, other: ModMatrix) -> ModMatrix:
-        return ModMatrix(
-            tuple(
-                tuple((x + y) % P for x, y in zip(r1, r2))
-                for r1, r2 in zip(self.rows, other.rows)
-            )
-        )
-
-    def __sub__(self, other: ModMatrix) -> ModMatrix:
-        return ModMatrix(
-            tuple(
-                tuple((x - y) % P for x, y in zip(r1, r2))
-                for r1, r2 in zip(self.rows, other.rows)
-            )
-        )
-
-    def is_zero(self) -> bool:
-        return not any(map(any, self.rows))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ModMatrix):
-            return NotImplemented
-        return self.rows == other.rows
+def reduce_table(table) -> tuple:
+    """A generator table (magnus.row_table) with its entries reduced mod P."""
+    copy, dense = table
+    return copy, tuple((c, tuple((k, poly_mod(g)) for k, g in live)) for c, live in dense)
 
 
 @lru_cache(maxsize=None)
-def x_mod(n: int, j: int, sign: int) -> ModMatrix:
-    return ModMatrix.reduce(_tau_letter(n, "x", j, sign))
+def x_mod(n: int, j: int, sign: int) -> tuple:
+    return reduce_table(row_table(_tau_letter(n, "x", j, sign).entries))
+
+
+# y and t act on rows: r M is the transpose of M acting on the column r
 
 
 @lru_cache(maxsize=None)
-def y_mod(n: int, idx: int, sign: int) -> ModMatrix:
-    return ModMatrix.reduce(_tau_y(n, idx, sign))
+def y_mod(n: int, idx: int, sign: int) -> tuple:
+    return reduce_table(row_table(zip(*_tau_y(n, idx, sign).entries)))
 
 
 @lru_cache(maxsize=None)
-def t_mod(n: int, i: int) -> ModMatrix:
-    return ModMatrix.reduce(t_element(n, i))
+def t_mod(n: int, i: int) -> tuple:
+    return reduce_table(row_table(zip(*t_element(n, i).entries)))
 
 
 @lru_cache(maxsize=None)
@@ -140,29 +94,53 @@ def probe_vectors(size: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     )
 
 
-def _probes(size: int) -> tuple[ModMatrix, ModMatrix]:
-    """The probe row u and the probe column v as matrices."""
-    u, v = probe_vectors(size)
-    return ModMatrix((u,)), ModMatrix(tuple((x,) for x in v))
-
-
 def dot_mod(live, vec) -> int:
     """The sum of g * vec[k] over the (k, g) pairs of live, mod P."""
-    return sum(g * vec[k] for k, g in live) % P
+    total = 0
+    for k, g in live:
+        total += g * vec[k]
+    return total % P
+
+
+class ModVector(list):
+    """A flat vector over Z/P, a row or a column of the screen.
+
+    A table of x_mod, y_mod or t_mod acts on it from the side it was built
+    for (table * column, row * table), and row * column is the scalar
+    product.
+    """
+
+    __slots__ = ()
+
+    def __add__(self, other: ModVector) -> ModVector:
+        return ModVector([(x + y) % P for x, y in zip(self, other)])
+
+    def __sub__(self, other: ModVector) -> ModVector:
+        return ModVector([(x - y) % P for x, y in zip(self, other)])
+
+    def __mul__(self, other):
+        if isinstance(other, ModVector):
+            return sum(map(mul, self, other)) % P
+        return ModVector(apply_table(other, self, dot_mod))
+
+    __rmul__ = __mul__
+
+    def is_zero(self) -> bool:
+        return not any(self)
 
 
 def _screen(yloop: FreeWord, xloop: FreeWord, memo: dict | None = None) -> bool:
     """u^T S v != 0 for the image S of <[yloop]_y, [xloop]_x> mod P."""
     n = yloop.n
-    u, v = _probes(n + 1)
+    u, v = probe_vectors(n + 1)
+    zero = ModVector([0] * (n + 1))
     memo = {} if memo is None else memo
     ykey, xkey = ("y", yloop), ("x", xloop)
     if ykey not in memo:
-        memo[ykey] = sweep_y(yloop, u, ModMatrix.zero(1, n + 1), partial(y_mod, n))
+        memo[ykey] = sweep_y(yloop, ModVector(u), zero, partial(y_mod, n))
     if xkey not in memo:
-        memo[xkey] = sweep_x(xloop, v, ModMatrix.zero(n + 1, 1), partial(x_mod, n))
-    value = pairing_sum(memo[ykey], memo[xkey], partial(t_mod, n), ModMatrix.zero(1, 1))
-    return not value.is_zero()
+        memo[xkey] = sweep_x(xloop, ModVector(v), zero, partial(x_mod, n))
+    return pairing_sum(memo[ykey], memo[xkey], partial(t_mod, n), 0) % P != 0
 
 
 def pairing_certainly_nonzero(yc, xc) -> bool:

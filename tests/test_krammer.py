@@ -5,6 +5,8 @@ import pytest
 from braidmoves.homology import fox_x, fox_y, tau_components_x
 from braidmoves.krammer import (
     BlockMatrix,
+    _rows,
+    _rows_mod,
     certainly_not_identity,
     entry,
     is_identity,
@@ -13,7 +15,9 @@ from braidmoves.krammer import (
     tau_plus_column,
     tau_plus_generator,
 )
-from braidmoves.magnus import MagnusElement, tau
+from braidmoves.laurent import ZERO, LaurentPoly
+from braidmoves.magnus import MagnusElement, _dot, apply_table, tau
+from braidmoves.modcheck import P, dot_mod, poly_mod
 from braidmoves.pairing import pair, t_element
 from braidmoves.words import BraidWord, FreeWord, y_basis_word
 
@@ -206,6 +210,41 @@ def test_sparse_action_on_a_block_column_equals_the_block_product():
             for r in range(1, n + 1)
         )
         assert tau_plus_act(b, col) == expected
+
+
+def flat_rows(m):
+    """The rows of a block matrix as an n(n+1) x n(n+1) matrix."""
+    return [
+        [p for block in brow for p in block.entries[a]]
+        for brow in m.blocks
+        for a in range(m.n + 1)
+    ]
+
+
+def rand_poly(rng):
+    return LaurentPoly(
+        {(rng.randrange(-2, 3), rng.randrange(-2, 3)): rng.randrange(-3, 4) for _ in range(3)}
+    )
+
+
+def test_generator_tables_act_like_their_matrices():
+    """Exact and mod-P tables against the dense product with the flattened
+    generator image (reduced entrywise for the mod-P table)."""
+    rng = random.Random(33)
+    for n in (3, 4, 5):
+        size = n * (n + 1)
+        for i in range(1, n):
+            for sign in (1, -1):
+                rows = flat_rows(tau_plus_generator(n, i, sign))
+                for _ in range(2):
+                    vec = [rand_poly(rng) for _ in range(size)]
+                    expected = [sum((g * x for g, x in zip(row, vec)), ZERO) for row in rows]
+                    assert apply_table(_rows(n, i, sign), vec, _dot) == expected
+                    vec = [rng.randrange(P) for _ in range(size)]
+                    expected = [
+                        sum(poly_mod(g) * x for g, x in zip(row, vec)) % P for row in rows
+                    ]
+                    assert apply_table(_rows_mod(n, i, sign), vec, dot_mod) == expected
 
 
 # -- the mod-p identity screen ---------------------------------------------------------

@@ -1,10 +1,11 @@
 """The mod-p screen against the exact route.
 
 The screen runs the same Fox sweeps and pairing sum as the exact
-evaluation, over the reductions of the generator tables and the probe
-vectors; the matrix sweeps must agree with the reduction of the exact
-values, the probe must agree with the full matrix image, and a nonzero
-answer must mean an exact nonzero.
+evaluation, over the reductions of the generator tables and flat probe
+vectors; each table must act like the reduction of its exact matrix, the
+vector sweeps must agree with the reduction of the exact sweeps, the probe
+must agree with the full image of the exact value, and a nonzero answer
+must mean an exact nonzero.
 """
 
 import random
@@ -17,6 +18,7 @@ from braidmoves.detect import (
     reducing_certificates,
 )
 from braidmoves.homology import (
+    _tau_y,
     fox_x,
     fox_y,
     sweep_x,
@@ -24,15 +26,18 @@ from braidmoves.homology import (
     tau_components_x,
     tau_components_y,
 )
+from braidmoves.magnus import _tau_letter
 from braidmoves.modcheck import (
-    ModMatrix,
+    P,
+    ModVector,
     loop_pairing_certainly_nonzero,
     pairing_certainly_nonzero,
+    poly_mod,
     t_mod,
     x_mod,
     y_mod,
 )
-from braidmoves.pairing import pair, pairing_sum
+from braidmoves.pairing import pair, t_element
 from braidmoves.words import BraidWord, FreeWord, y_basis_word
 
 BETA2 = BraidWord.parse("-2 -2 -1 -2 -3 2 2 2 1 2 3", 4)
@@ -55,17 +60,53 @@ def rand_loop(rng, n):
     return rand_free(rng, n, 8)
 
 
+def reduced(m):
+    """The rows of an exact matrix reduced mod P."""
+    return [[poly_mod(p) for p in row] for row in m.entries]
+
+
+def times_column(rows, vec):
+    return [sum(g * x for g, x in zip(row, vec)) % P for row in rows]
+
+
+def row_times(vec, rows):
+    return times_column(zip(*rows), vec)
+
+
+def rand_vec(rng, size):
+    return ModVector(rng.randrange(P) for _ in range(size))
+
+
+def test_tables_act_like_their_reduced_matrices():
+    """x_mod acts on columns, y_mod and t_mod (built from the transpose) on
+    rows; each equals the dense product with the reduced exact matrix."""
+    rng = random.Random(1100)
+    for n in (3, 4, 5):
+        for k in range(1, n + 1):
+            rows_side = [(t_mod(n, k), t_element(n, k))]
+            for s in (1, -1):
+                rows_side.append((y_mod(n, k, s), _tau_y(n, k, s)))
+                x_table, x_exact = x_mod(n, k, s), _tau_letter(n, "x", k, s)
+                for _ in range(3):
+                    vec = rand_vec(rng, n + 1)
+                    assert x_table * vec == times_column(reduced(x_exact), vec)
+            for table, exact in rows_side:
+                for _ in range(3):
+                    vec = rand_vec(rng, n + 1)
+                    assert vec * table == row_times(vec, reduced(exact))
+
+
 def test_mod_sweeps_are_reductions_of_exact_sweeps():
     rng = random.Random(1101)
     for _ in range(60):
         n = rng.randrange(3, 6)
         w = rand_loop(rng, n)
-        one, zero = ModMatrix.identity(n + 1), ModMatrix.zero(n + 1, n + 1)
-        assert sweep_x(w, one, zero, partial(x_mod, n)) == tuple(
-            ModMatrix.reduce(c) for c in tau_components_x(w)
+        col, row, zero = rand_vec(rng, n + 1), rand_vec(rng, n + 1), ModVector([0] * (n + 1))
+        assert sweep_x(w, col, zero, partial(x_mod, n)) == tuple(
+            times_column(reduced(c), col) for c in tau_components_x(w)
         )
-        assert sweep_y(w, one, zero, partial(y_mod, n)) == tuple(
-            ModMatrix.reduce(c) for c in tau_components_y(w)
+        assert sweep_y(w, row, zero, partial(y_mod, n)) == tuple(
+            row_times(row, reduced(c)) for c in tau_components_y(w)
         )
 
 
@@ -140,12 +181,8 @@ def test_detection_screens_each_candidate_once(monkeypatch):
 
 
 def matrix_verdict(y: FreeWord, x: FreeWord) -> bool:
-    """The full (n+1)x(n+1) image of the pairing mod P is nonzero."""
-    n = y.n
-    one, zero = ModMatrix.identity(n + 1), ModMatrix.zero(n + 1, n + 1)
-    ymats = sweep_y(y, one, zero, partial(y_mod, n))
-    xmats = sweep_x(x, one, zero, partial(x_mod, n))
-    return not pairing_sum(ymats, xmats, partial(t_mod, n), zero).is_zero()
+    """The full (n+1)x(n+1) image of the exact pairing value mod P is nonzero."""
+    return any(map(any, reduced(pair(fox_y(y), fox_x(x)).evaluated)))
 
 
 def loop_pairs(rng, count):

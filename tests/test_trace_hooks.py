@@ -1,27 +1,32 @@
-"""The benchmark's tracer patches the program by name from outside; a
-refactor that drops or renames a patched function must fail here, not
-only when a traced benchmark run is started."""
+"""The benchmark's tracer patches the program by name from outside, and its
+set-up probe builds the generator tables by name; a refactor that drops or
+renames such a function must fail here, not only when a benchmark run is
+started."""
 
 import importlib.util
 from collections import Counter
 from pathlib import Path
 
+import braidmoves.detect as D
 import braidmoves.krammer as K
 import braidmoves.magnus as M
+import braidmoves.modcheck as MC
 from braidmoves.words import BraidWord
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def load(name):
+    """A module of perfbench/, loaded from its file."""
+    path = PERFBENCH / f"{name}.py"
+    spec = importlib.util.spec_from_file_location("perfbench_" + name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_tracer_hooks_install_and_undo():
-    tracer_mod = load_tracer()
+    tracer_mod = load("tracer")
     originals = (K.tau_plus, K.entry, K.BlockMatrix.__mul__, M.MagnusElement.__mul__, M._dot)
     tracer = tracer_mod.Tracer()
     spans = tracer_mod.install_spans(tracer)
@@ -40,3 +45,22 @@ def test_tracer_hooks_install_and_undo():
     names = tracer.span_counts()
     assert names["krammer.tau_plus"] == 1 and names["krammer.entry"] == 1
     assert (K.tau_plus, K.entry, K.BlockMatrix.__mul__, M.MagnusElement.__mul__, M._dot) == originals
+
+
+def test_setup_probe_builds_the_tables():
+    load("setup_probe").build_tables([3, 4])
+
+
+def test_screen_spans_recorded_and_undone():
+    tracer_mod = load("tracer")
+    screens = (MC.loop_pairing_certainly_nonzero, MC.pairing_certainly_nonzero)
+    tracer = tracer_mod.Tracer()
+    spans = tracer_mod.install_spans(tracer)
+    try:
+        beta2 = BraidWord.parse("-2 -2 -1 -2 -3 2 2 2 1 2 3", 4)
+        assert len(list(D.reducing_certificates(beta2, 0))) == 3
+    finally:
+        spans.undo()
+    assert tracer.span_counts()["modcheck.loop_screen"] > 0
+    assert (MC.loop_pairing_certainly_nonzero, MC.pairing_certainly_nonzero) == screens
+    assert D.loop_pairing_certainly_nonzero is screens[0]
