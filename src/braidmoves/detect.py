@@ -284,10 +284,16 @@ def detect_exchange(b: BraidWord, depth: int) -> DetectionResult:
 
 # -- the rewrite ----------------------------------------------------------
 
+MAX_JOINT_STATES = 40_000
+"""The most states (pairs of free words) that find_joint_braid may store
+in its forward and backward tables together.  The rewrites of the unknot
+pipeline store at most 3 542."""
+
 
 def find_joint_braid(v_word: FreeWord, w_word: FreeWord, depth: int) -> BraidWord | None:
     """A braid psi with psi(x_{n-1}) = v_word and psi(x_n) = w_word, of
-    length at most depth, or None when the bounded search exhausts.
+    length at most depth, or None when the bounded search exhausts its
+    depth or MAX_JOINT_STATES.
 
     Works by bidirectional breadth-first search on the orbit of the pair
     (x_{n-1}, x_n): prepending a generator g to psi maps the state pair
@@ -315,13 +321,16 @@ def find_joint_braid(v_word: FreeWord, w_word: FreeWord, depth: int) -> BraidWor
     def expand(front, table, backwards):
         # state transition S -> g(S); the stored word gains g on the left
         # going forward (g . w maps start to g(S)), or g^-1 on the right
-        # going backward (w . g^-1 maps g(S) to the target).
+        # going backward (w . g^-1 maps g(S) to the target).  None once
+        # the two tables hold MAX_JOINT_STATES states.
         new_front = []
         for state in front:
             word = table[state]
             for g in gens:
                 nxt = (g(state[0]), g(state[1]))
                 if nxt not in table:
+                    if len(forward) + len(backward) >= MAX_JOINT_STATES:
+                        return None
                     table[nxt] = word * g.inverse() if backwards else g * word
                     new_front.append(nxt)
         return new_front
@@ -329,13 +338,13 @@ def find_joint_braid(v_word: FreeWord, w_word: FreeWord, depth: int) -> BraidWor
     while depth_f + depth_b < depth and (front_f or front_b):
         # grow the smaller frontier first
         if front_f and (not front_b or len(front_f) <= len(front_b)):
-            front_f = expand(front_f, forward, backwards=False)
+            fresh = front_f = expand(front_f, forward, backwards=False)
             depth_f += 1
-            fresh = front_f
         else:
-            front_b = expand(front_b, backward, backwards=True)
+            fresh = front_b = expand(front_b, backward, backwards=True)
             depth_b += 1
-            fresh = front_b
+        if fresh is None:
+            return None
         for state in fresh:
             if state in forward and state in backward:
                 psi = backward[state] * forward[state]

@@ -4,7 +4,8 @@ Each block is an (n+1) x (n+1) matrix over Z[q^±1, t^±1] (a Magnus
 element), so for B_4 the total rank is 4 x 5 = 20; for general n it is
 n(n+1).  This size-n(n+1) representation contains the Lawrence-Krammer
 representation and is faithful, so comparing against the block identity
-decides the word problem.
+decides the word problem; is_identity keeps that comparison as its
+fallback (see the end of this docstring).
 
 The image of a braid beta is the matrix (r_ij) defined by
 
@@ -38,8 +39,14 @@ the tests hold them to.
 
 is_identity screens first: with the evaluation points and probe vectors
 of the modcheck module, u^T M v != u^T v mod P for the image M of b
-proves M != I, so b is nontrivial.  Only a braid the screen does not
-certify is multiplied out exactly.
+proves M != I, so b is nontrivial.  A braid the screen does not certify
+is decided by Artin's action on the free group F_n, which is faithful
+too (Artin 1925): b = 1 exactly when b(x_k) = x_k for k = 1 .. n.  The
+action runs rightmost letter first and stops at the first x_k that is
+not fixed.  The screen must come first: nontrivial words can blow up
+under the action, while the trivial ones that reach it stay short.  Only
+when an intermediate word outgrows ACTION_LETTER_BUDGET is the block
+matrix multiplied out exactly.
 """
 
 from __future__ import annotations
@@ -51,7 +58,7 @@ from typing import Sequence
 from . import magnus
 from .magnus import MagnusElement, apply_table, row_table, tau
 from .modcheck import P, dot_mod, probe_vectors, reduce_table
-from .words import BraidWord, FreeWord, WordError
+from .words import BraidWord, FreeWord, WordError, act_letters
 
 
 class BlockMatrix:
@@ -244,12 +251,35 @@ def certainly_not_identity(b: BraidWord) -> bool:
     return sum(map(mul, u, mv)) % P != sum(map(mul, u, v)) % P
 
 
-def is_identity(b: BraidWord) -> bool:
-    """Decide triviality of b in B_n (the representation is faithful).
+ACTION_LETTER_BUDGET = 4096
+"""The longest intermediate word that is_identity lets the action on
+x_1 .. x_n build before it falls back to the block matrix."""
 
-    The mod-P screen answers False for every braid it certifies; the rest
-    go on to the exact block matrix.
+
+def _fixes_generators(b: BraidWord) -> bool | None:
+    """Whether b(x_k) = x_k for k = 1 .. n, or None once an intermediate
+    word grows past ACTION_LETTER_BUDGET letters."""
+    for k in range(1, b.n + 1):
+        x = letters = ((k, 1),)
+        for letters in act_letters(b, x):
+            if len(letters) > ACTION_LETTER_BUDGET:
+                return None
+        if letters != x:
+            return False
+    return True
+
+
+def is_identity(b: BraidWord) -> bool:
+    """Decide triviality of b in B_n.
+
+    The mod-P screen answers False for every braid it certifies.  The rest
+    are decided by Artin's action on F_n, which is faithful: b = 1 exactly
+    when b fixes every x_k.  Only when the action outgrows its letter
+    budget is the exact block matrix compared with the identity.
     """
     if certainly_not_identity(b):
         return False
+    fixed = _fixes_generators(b)
+    if fixed is not None:
+        return fixed
     return tau_plus(b).is_identity()

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 Letter = tuple[int, int]  # (index, sign) with sign in {+1, -1}
@@ -232,7 +233,7 @@ class BraidWord:
         letters = w.letters
         for i, sign in reversed(self.letters):
             letters = _apply_sigma(i, sign, letters)
-        return FreeWord(self.n, letters)
+        return _trusted(FreeWord, self.n, letters)
 
     def __str__(self) -> str:
         if not self.letters:
@@ -243,16 +244,40 @@ class BraidWord:
         return f"BraidWord({self.n}, {str(self) or '1'})"
 
 
-def _apply_sigma(i: int, sign: int, letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
-    out: list[Letter] = []
+@lru_cache(maxsize=None)
+def _sigma_table(i: int, sign: int) -> dict[Letter, tuple[Letter, ...]]:
+    """The image of each signed letter that sigma_i^sign moves, by the
+    generator rules of the module docstring; other letters are fixed."""
     if sign == 1:
         images = {i: ((i + 1, 1),), i + 1: ((i + 1, -1), (i, 1), (i + 1, 1))}
     else:
         images = {i + 1: ((i, 1),), i: ((i, 1), (i + 1, 1), (i, -1))}
-    for idx, s in letters:
-        img = images.get(idx, ((idx, 1),))
-        out.extend(img if s == 1 else _inverse(img))
+    table = {}
+    for idx, img in images.items():
+        table[(idx, 1)] = img
+        table[(idx, -1)] = _inverse(img)
+    return table
+
+
+def _apply_sigma(i: int, sign: int, letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
+    table = _sigma_table(i, sign)
+    out: list[Letter] = []
+    for letter in letters:
+        img = table.get(letter)
+        if img is None:
+            out.append(letter)
+        else:
+            out += img
     return _reduce(out)
+
+
+def act_letters(b: BraidWord, letters: tuple[Letter, ...]) -> Iterator[tuple[Letter, ...]]:
+    """The reduced words g_k(letters), g_{k-1}(g_k(letters)), ..., b(letters)
+    for b = g_1 ... g_k, one per letter of b (rightmost first), so that a
+    caller can stop the action early."""
+    for i, sign in reversed(b.letters):
+        letters = _apply_sigma(i, sign, letters)
+        yield letters
 
 
 def act_braid_on_free(b: BraidWord, w: FreeWord) -> FreeWord:
@@ -269,6 +294,7 @@ def y_basis_word(i: int, n: int) -> FreeWord:
     return FreeWord(n, tuple(pre + [(i, -1)] + post))
 
 
+@lru_cache(maxsize=None)
 def x_in_y_letters(i: int, sign: int) -> tuple[Letter, ...]:
     """x_i^sign rewritten in the y-basis (the involution swapping the bases).
 

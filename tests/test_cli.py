@@ -1,5 +1,6 @@
 import json
 
+from braidmoves import krammer
 from braidmoves.cli import EXIT_NOT_FOUND, EXIT_OK, EXIT_USAGE, main
 
 
@@ -117,6 +118,18 @@ def test_is_identity(capsys):
     assert out.strip() == "true"
     code, out, _ = run(capsys, "is-identity", "-n", "3", "1")
     assert out.strip() == "false"
+
+
+def test_is_identity_block_fallback(capsys, monkeypatch):
+    # a two-letter budget sends the relator to the block matrix
+    calls = []
+    tau_plus = krammer.tau_plus
+    monkeypatch.setattr(krammer, "tau_plus", lambda b: calls.append(b) or tau_plus(b))
+    monkeypatch.setattr(krammer, "ACTION_LETTER_BUDGET", 2)
+    code, out, _ = run(capsys, "is-identity", "-n", "3", "1 2 1 -2 -1 -2")
+    assert code == EXIT_OK
+    assert out.strip() == "true"
+    assert len(calls) == 1
 
 
 def test_enumerate_simple(capsys):

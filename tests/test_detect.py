@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 
+import braidmoves.detect as D
 from braidmoves.detect import (
     EXCHANGE,
     MAX_ENUM_WORDS,
@@ -261,6 +262,19 @@ def test_find_joint_braid_unreachable():
     assert find_joint_braid(
         FreeWord.generator(4, 1), FreeWord.parse("x2 x4 x2^-1", 4), 3
     ) is None
+
+
+def test_find_joint_braid_state_budget(monkeypatch):
+    # x1 x2 has exponent sum 2, so it is no image of x3: only the state
+    # budget ends this search, long before depth 40
+    assert find_joint_braid(FreeWord.parse("x1 x2", 4), FreeWord.generator(4, 2), 40) is None
+    # a reachable pair is given up too once the budget runs out
+    n = 4
+    psi = BraidWord.parse("-2 1 3", n)
+    target = (psi(FreeWord.generator(n, 3)), psi(FreeWord.generator(n, 4)))
+    assert find_joint_braid(*target, 6) is not None
+    monkeypatch.setattr(D, "MAX_JOINT_STATES", 5)
+    assert find_joint_braid(*target, 6) is None
 
 
 def test_rewrite_special_form_flips_crossings():

@@ -2,9 +2,11 @@ import random
 
 import pytest
 
+import braidmoves.krammer as K
 from braidmoves.homology import fox_x, fox_y, tau_components_x
 from braidmoves.krammer import (
     BlockMatrix,
+    _fixes_generators,
     _rows,
     _rows_mod,
     certainly_not_identity,
@@ -314,3 +316,69 @@ def test_screen_answers_agree_with_the_exact_route():
             else:
                 assert exact, f"the screen missed {b!r}"
     assert certified >= 60
+
+
+# -- Artin's action and the block fallback ----------------------------------------------
+
+
+def flipped(rng, n):
+    """A relator with its first letter inverted: one letter off trivial."""
+    rel = relator(rng, n)
+    return BraidWord(n, ((rel.letters[0][0], -rel.letters[0][1]),) + rel.letters[1:])
+
+
+def action_samples(rng):
+    """Long conjugated-relator products (trivial), the same with one
+    flipped relator in the middle (near-trivial) and random words."""
+    for _ in range(12):
+        n = rng.choice([3, 4, 5])
+        yield conjugated_relators(rng, n, 5)
+        yield conjugated_relators(rng, n, 2) * flipped(rng, n) * conjugated_relators(rng, n, 2)
+        yield rand_braid(rng, n, 8 if n < 5 else 6)
+
+
+def test_action_decides_like_the_block_matrix():
+    rng = random.Random(41)
+    trivial = 0
+    for b in action_samples(rng):
+        exact = tau_plus(b).is_identity()
+        assert _fixes_generators(b) is exact
+        assert is_identity(b) is exact
+        trivial += exact
+    assert trivial >= 12
+
+
+def spy_tau_plus(monkeypatch):
+    calls = []
+    original = K.tau_plus
+
+    def spy(b):
+        calls.append(b)
+        return original(b)
+
+    monkeypatch.setattr(K, "tau_plus", spy)
+    return calls
+
+
+def test_shrunk_budget_falls_back_to_the_block_matrix(monkeypatch):
+    rng = random.Random(42)
+    samples = list(action_samples(rng))
+    verdicts = [is_identity(b) for b in samples]
+    calls = spy_tau_plus(monkeypatch)
+    monkeypatch.setattr(K, "ACTION_LETTER_BUDGET", 2)
+    assert [is_identity(b) for b in samples] == verdicts
+    # the screen leaves only the trivial samples, and on each nonempty one
+    # the action passes through a word of three letters or more
+    assert len(calls) == sum(v for b, v in zip(samples, verdicts) if b.letters) > 0
+
+
+def test_trivial_braids_never_reach_the_block_matrix(monkeypatch):
+    rng = random.Random(43)
+    calls = spy_tau_plus(monkeypatch)
+    for _ in range(30):
+        n = rng.choice([3, 4, 5])
+        w = rand_braid(rng, n, 10)
+        w2 = respelled(rng, w)
+        for b in (conjugated_relators(rng, n, 6), w * w2.inverse(), w2.inverse() * w):
+            assert is_identity(b)
+    assert calls == []

@@ -25,7 +25,10 @@ def load(name):
     return module
 
 
-def test_tracer_hooks_install_and_undo():
+def test_tracer_hooks_install_and_undo(monkeypatch):
+    # a budget of two letters sends the relator below to the block matrix,
+    # so that the tau_plus span has a call to record
+    monkeypatch.setattr(K, "ACTION_LETTER_BUDGET", 2)
     tracer_mod = load("tracer")
     originals = (K.tau_plus, K.entry, K.BlockMatrix.__mul__, M.MagnusElement.__mul__, M._dot)
     tracer = tracer_mod.Tracer()

@@ -11,6 +11,7 @@ from braidmoves.words import (
     FreeWord,
     WordError,
     act_braid_on_free,
+    act_letters,
     y_basis_word,
 )
 
@@ -122,6 +123,17 @@ def test_action_anchor_beta1():
 def test_act_function_alias():
     b = BraidWord.parse("1", 2)
     assert act_braid_on_free(b, FreeWord.generator(2, 1)) == FreeWord.generator(2, 2)
+
+
+def test_act_letters_steps_through_the_action():
+    # one word per letter, rightmost letter first, ending at b(w)
+    b = BraidWord.parse(BETA2, 4)
+    w = FreeWord.generator(4, 3)
+    steps = list(act_letters(b, w.letters))
+    assert len(steps) == len(b)
+    for k, step in enumerate(steps, 1):
+        assert step == BraidWord(4, b.letters[-k:])(w).letters
+    assert steps[-1] == ((1, 1),)
 
 
 def test_action_strand_mismatch():
