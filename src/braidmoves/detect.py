@@ -36,10 +36,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
-from .homology import HomologyClassX, fox_x, fox_y, star_x_to_y
+from .homology import HomologyClassX, fox_x
 from .krammer import tau_plus
 from .modcheck import loop_pairing_certainly_nonzero
-from .pairing import pair
+from .pairing import pair_loops, y_terms
 from .words import BraidWord, FreeWord, WordError
 
 REDUCE_POSITIVE = "reduce_positive"
@@ -154,32 +154,32 @@ def _loop_pairing_zero(yloop: FreeWord, xloop: FreeWord, memo: dict) -> bool:
     keeps the screen's per-loop sweeps for the rest of the scan."""
     if loop_pairing_certainly_nonzero(yloop, xloop, memo):
         return False
-    value = pair(fox_y(yloop), fox_x(xloop))
-    # with the symbolic form taken, is_zero does not screen the loops again
-    value.symbolic
-    return value.is_zero()
+    return pair_loops(yloop, xloop).is_zero()
 
 
-def _verified_zero(yc, xc) -> bool:
-    """Evaluate a fresh pairing all the way to the matrix ring."""
-    return pair(yc, xc).evaluated.is_zero()
+def _verified_zero(yloop: FreeWord, xloop: FreeWord, yterms=None) -> bool:
+    """Evaluate a fresh pairing of two loops all the way to the matrix ring;
+    yterms, when given, is pairing.y_terms(yloop)."""
+    return pair_loops(yloop, xloop, yterms).evaluated.is_zero()
 
 
 def _reverify_reducing(b: BraidWord, sc: SimpleClass, kind: str):
     w = sc.word
     if kind == REDUCE_POSITIVE:
-        ok = _verified_zero(fox_y(w.inverse()), fox_x(b(w)))
+        ok = _verified_zero(w.inverse(), b(w))
     else:
-        ok = _verified_zero(fox_y(b(w).inverse()), fox_x(w))
+        ok = _verified_zero(b(w).inverse(), w)
     if not ok:
         raise InvariantViolation(f"reducing witness failed re-verification: {w}")
 
 
 def _reverify_exchange(b: BraidWord, v: SimpleClass, w: SimpleClass):
-    vstar = star_x_to_y(v.xclass)
-    if not _verified_zero(vstar, w.xclass):
+    # v^* = [v^-1]_y: both conditions fold through its terms, built once
+    vstar = v.word.inverse()
+    terms = y_terms(vstar)
+    if not _verified_zero(vstar, w.word, terms):
         raise InvariantViolation(f"exchange witness pair failed <v*, w> = 0: {v.word}, {w.word}")
-    if not _verified_zero(vstar, fox_x(b(w.word))):
+    if not _verified_zero(vstar, b(w.word), terms):
         raise InvariantViolation(
             f"exchange witness pair failed <v*, beta w beta^-1> = 0: {v.word}, {w.word}"
         )
@@ -289,11 +289,17 @@ MAX_JOINT_STATES = 40_000
 in its forward and backward tables together.  The rewrites of the unknot
 pipeline store at most 3 542."""
 
+MAX_JOINT_LETTERS = 1_000_000
+"""The most letters, summed over both words of every stored state, that
+find_joint_braid may keep.  The state words grow with the search depth,
+so the state count alone does not bound the memory.  The rewrites of the
+unknot pipeline store at most 89 024 letters."""
+
 
 def find_joint_braid(v_word: FreeWord, w_word: FreeWord, depth: int) -> BraidWord | None:
     """A braid psi with psi(x_{n-1}) = v_word and psi(x_n) = w_word, of
     length at most depth, or None when the bounded search exhausts its
-    depth or MAX_JOINT_STATES.
+    depth, MAX_JOINT_STATES or MAX_JOINT_LETTERS.
 
     Works by bidirectional breadth-first search on the orbit of the pair
     (x_{n-1}, x_n): prepending a generator g to psi maps the state pair
@@ -317,19 +323,26 @@ def find_joint_braid(v_word: FreeWord, w_word: FreeWord, depth: int) -> BraidWor
     backward: dict[tuple[FreeWord, FreeWord], BraidWord] = {target: BraidWord.identity(n)}
     front_f, front_b = [start], [target]
     depth_f = depth_b = 0
+    letters = len(start[0]) + len(start[1]) + len(v_word) + len(w_word)
 
     def expand(front, table, backwards):
         # state transition S -> g(S); the stored word gains g on the left
         # going forward (g . w maps start to g(S)), or g^-1 on the right
         # going backward (w . g^-1 maps g(S) to the target).  None once
-        # the two tables hold MAX_JOINT_STATES states.
+        # the two tables hold MAX_JOINT_STATES states or MAX_JOINT_LETTERS
+        # letters.
+        nonlocal letters
         new_front = []
         for state in front:
             word = table[state]
             for g in gens:
                 nxt = (g(state[0]), g(state[1]))
                 if nxt not in table:
-                    if len(forward) + len(backward) >= MAX_JOINT_STATES:
+                    letters += len(nxt[0]) + len(nxt[1])
+                    if (
+                        len(forward) + len(backward) >= MAX_JOINT_STATES
+                        or letters > MAX_JOINT_LETTERS
+                    ):
                         return None
                     table[nxt] = word * g.inverse() if backwards else g * word
                     new_front.append(nxt)

@@ -25,8 +25,12 @@ tested for zero.
 
 Each derivation is computed by one sweep (sweep_x, sweep_y) that runs in
 any ring: fox_x/fox_y run it in ZF_n, tau_components_x/y in the Magnus
-matrices, and modcheck on probe vectors mod p (a row times the y-side
-prefix, the x-side suffix times a column).
+matrices (flat rows pushed through the sparse tables x_left and y_right),
+and modcheck on probe vectors mod p (a row times the y-side prefix, the
+x-side suffix times a column).  fold_x and fold_y give one side of a
+pairing without its components: each folds the letters of a loop over
+given factors from the other side, and the pairing module runs them on
+rows through the tables x_right and y_left.
 
 Classes built from a loop word carry that word as provenance; the star
 correspondence and the braid action use it ([w]^* = [w^-1] in the other
@@ -40,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
-from .magnus import MagnusElement, _tau_letter, tau
+from .magnus import MagnusElement, RowMatrix, _tau_letter, row_table, tau, transposed_table
 from .words import (
     BraidWord,
     FreeWord,
@@ -289,6 +293,25 @@ def sweep_x(w: FreeWord, one, zero, image) -> tuple:
     return tuple(comps)
 
 
+def fold_x(w: FreeWord, terms, zero, image):
+    """sum_i terms[i-1] d_i over the components d_i of [w]_x, without forming
+    the components: one left-to-right pass over the x-letters.
+
+    After the letters l_1 .. l_k the accumulator is the sum for
+    [l_1 .. l_k]_x, and d(u l) = d(u) l + d(l) updates it by
+    acc <- acc X + R for l = x_i and acc <- (acc - R) X for l = x_i^-1,
+    with R = terms[i-1] and X = image(i, sign), which multiplies acc on the
+    right.
+    """
+    acc = zero
+    for idx, sign in w.letters:
+        if sign == 1:
+            acc = acc * image(idx, 1) + terms[idx - 1]
+        else:
+            acc = (acc - terms[idx - 1]) * image(idx, -1)
+    return acc
+
+
 def _y_letters_of(w: FreeWord) -> tuple:
     out: list = []
     for idx, sign in w.letters:
@@ -310,6 +333,26 @@ def sweep_y(w: FreeWord, one, zero, image) -> tuple:
             prefix = prefix * image(idx, -1)
             comps[idx - 1] = comps[idx - 1] - prefix
     return tuple(comps)
+
+
+def fold_y(w: FreeWord, terms, zero, image):
+    """sum_i c_i terms[i-1] over the components c_i of [w]_y, without
+    forming the components: one right-to-left pass over the y-letters,
+    the mirror of fold_x.
+
+    Before the letters l_k .. l_m the accumulator is the sum for
+    [l_k .. l_m]_y, and e(l v) = l e(v) + e(l) updates it by
+    acc <- Y acc + L for l = y_i and acc <- Y (acc - L) for l = y_i^-1,
+    with L = terms[i-1] and Y = image(i, sign), which multiplies acc on the
+    left.
+    """
+    acc = zero
+    for idx, sign in reversed(_y_letters_of(w)):
+        if sign == 1:
+            acc = image(idx, 1) * acc + terms[idx - 1]
+        else:
+            acc = image(idx, -1) * (acc - terms[idx - 1])
+    return acc
 
 
 @lru_cache(maxsize=None)
@@ -408,22 +451,59 @@ def _tau_y(n: int, idx: int, sign: int) -> MagnusElement:
     return tau(_y_word(n, idx, sign))
 
 
-def tau_components_x(w: FreeWord) -> tuple[MagnusElement, ...]:
-    """tau of each coefficient of [w]_x, without materializing ZF_n values.
+# The exact generator tables of the sweeps and folds, in the one format of
+# magnus.row_table, all on flat rows held in magnus.RowMatrix.  A *_right
+# table multiplies on the right (r -> r G, the transposed_table of G); a
+# *_left table multiplies on the left, applied to the rows of a transpose
+# (the row_table of G).  modcheck reduces x_left and y_right mod P.
 
-    Agrees with evaluate_x(fox_x(w)); the tests hold the two routes
-    against each other.
+
+@lru_cache(maxsize=None)
+def x_right(n: int, j: int, sign: int) -> tuple:
+    """r -> r tau(x_j^sign)."""
+    return transposed_table(_tau_letter(n, "x", j, sign))
+
+
+@lru_cache(maxsize=None)
+def x_left(n: int, j: int, sign: int) -> tuple:
+    """v -> tau(x_j^sign) v."""
+    return row_table(_tau_letter(n, "x", j, sign).entries)
+
+
+@lru_cache(maxsize=None)
+def y_right(n: int, idx: int, sign: int) -> tuple:
+    """r -> r tau(y_idx^sign)."""
+    return transposed_table(_tau_y(n, idx, sign))
+
+
+@lru_cache(maxsize=None)
+def y_left(n: int, idx: int, sign: int) -> tuple:
+    """v -> tau(y_idx^sign) v."""
+    return row_table(_tau_y(n, idx, sign).entries)
+
+
+def tau_components_x(w: FreeWord) -> tuple[MagnusElement, ...]:
+    """tau of each coefficient of [w]_x, by one sweep over the x-letters.
+
+    The running suffix is held transposed, as rows (magnus.RowMatrix),
+    each pushed through x_left, so no matrix product is formed.  Agrees
+    with evaluate_x(fox_x(w)) (tested).
     """
     size = w.n + 1
-    one, zero = MagnusElement.identity(size), MagnusElement.zero(size)
-    return sweep_x(w, one, zero, partial(_tau_letter, w.n, "x"))
+    comps = sweep_x(w, RowMatrix.identity(size), RowMatrix.zero(size), partial(x_left, w.n))
+    return tuple(c.transposed_element() for c in comps)
 
 
 def tau_components_y(w: FreeWord) -> tuple[MagnusElement, ...]:
-    """tau of each coefficient of [w]_y, by one sweep over the y-letters."""
+    """tau of each coefficient of [w]_y, by one sweep over the y-letters.
+
+    The running prefix is kept as rows (magnus.RowMatrix), each pushed
+    through y_right, so no matrix product is formed.  Agrees with
+    evaluate_y(fox_y(w)) (tested).
+    """
     size = w.n + 1
-    one, zero = MagnusElement.identity(size), MagnusElement.zero(size)
-    return sweep_y(w, one, zero, partial(_tau_y, w.n))
+    comps = sweep_y(w, RowMatrix.identity(size), RowMatrix.zero(size), partial(y_right, w.n))
+    return tuple(c.element() for c in comps)
 
 
 # -- tau-evaluation of classes --------------------------------------------

@@ -176,8 +176,9 @@ def _dot(live_row: list[tuple[int, LaurentPoly]], col: tuple[LaurentPoly, ...]) 
 # A matrix acting on flat columns on the left, kept as a table of its rows:
 # an itemgetter that copies entry k of the column for each row that is ONE
 # at k and zero elsewhere, and the (c, ((k, g), ...)) nonzero entries of
-# every other row c.  The block representation (krammer) and the mod-p
-# screen (modcheck) keep every generator image in this one format.
+# every other row c.  The block representation (krammer), the exact
+# pairing fold (pairing, on RowMatrix rows) and the mod-p screen
+# (modcheck) keep every generator image in this one format.
 
 
 def row_table(rows) -> tuple:
@@ -201,6 +202,64 @@ def apply_table(table, vec, dot) -> list:
     for c, live in dense:
         new[c] = dot(live, vec)
     return new
+
+
+def transposed_table(m: MagnusElement) -> tuple:
+    """The table of the transpose of m: applied to a row r of flat entries
+    as if it were a column, it gives the row r m."""
+    return row_table(zip(*m.entries))
+
+
+class RowMatrix:
+    """A square matrix over Z[q^±1, t^±1] kept as the list of its rows, for
+    sweeps that multiply it by generator images one sparse step at a time.
+
+    Multiplying by a table, on either side, pushes each nonzero row through
+    it with apply_table; no matrix product is formed.  With the
+    transposed_table of an image G, m * table is m G.  A sweep that
+    multiplies on the left holds the transpose instead: with the row_table
+    of G, table * m applied to the rows of A^T gives the rows of (G A)^T.
+    Sums and differences go row by row; element() gives the MagnusElement.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: Sequence[Sequence[LaurentPoly]]):
+        self.rows = rows
+
+    @staticmethod
+    def identity(size: int) -> RowMatrix:
+        return RowMatrix([[ONE if i == j else ZERO for j in range(size)] for i in range(size)])
+
+    @staticmethod
+    def zero(size: int) -> RowMatrix:
+        return RowMatrix([[ZERO] * size for _ in range(size)])
+
+    def __mul__(self, table) -> RowMatrix:
+        # _dot is looked up per call: perfbench's counting pass replaces it
+        return RowMatrix([apply_table(table, r, _dot) if any(r) else r for r in self.rows])
+
+    __rmul__ = __mul__
+
+    def __add__(self, other: RowMatrix) -> RowMatrix:
+        return RowMatrix(
+            [[a + b if b else a for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)]
+        )
+
+    def __sub__(self, other: RowMatrix) -> RowMatrix:
+        return RowMatrix(
+            [[a - b if b else a for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)]
+        )
+
+    def is_zero(self) -> bool:
+        return not any(any(r) for r in self.rows)
+
+    def element(self) -> MagnusElement:
+        return MagnusElement(self.rows)
+
+    def transposed_element(self) -> MagnusElement:
+        """The MagnusElement whose columns are these rows."""
+        return MagnusElement(tuple(zip(*self.rows)))
 
 
 # -- generator matrices -------------------------------------------------

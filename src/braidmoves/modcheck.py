@@ -19,9 +19,11 @@ vectors (ModVector) instead of the identity matrix; the pairing module's
 sum adds the terms.  Every generator image acts on those vectors through
 the one sparse table format of the block representation
 (magnus.row_table, magnus.apply_table), reduced mod P: x_mod acts on
-columns, and y_mod and t_mod, which act on rows, are the tables of the
-transposed images.  Each vector update costs at most O(n^2), not the
-O(n^3) of a matrix product.
+columns, and y_mod and t_mod, which act on rows, are built from the
+transposed images.  All three are the exact tables of the pairing fold
+(homology.x_left, homology.y_right, pairing.t_right), reduced, so each
+table has one builder.  Each vector update costs at most O(n^2), not the O(n^3) of
+a matrix product.
 
 The y-side vectors depend only on the y-loop and the x-side vectors only
 on the x-loop.  A detection scan passes one dict as memo to every screen
@@ -40,10 +42,10 @@ from __future__ import annotations
 from functools import lru_cache, partial
 from operator import mul
 
-from .homology import _tau_y, sweep_x, sweep_y
+from .homology import sweep_x, sweep_y, x_left, y_right
 from .laurent import LaurentPoly
-from .magnus import _tau_letter, apply_table, row_table
-from .pairing import pairing_sum, t_element
+from .magnus import apply_table
+from .pairing import pairing_sum, t_right
 from .words import FreeWord
 
 P = (1 << 61) - 1
@@ -66,22 +68,23 @@ def reduce_table(table) -> tuple:
     return copy, tuple((c, tuple((k, poly_mod(g)) for k, g in live)) for c, live in dense)
 
 
+# x acts on columns, y and t on rows: each is the exact table of the pairing
+# fold (homology.x_left, homology.y_right, pairing.t_right), reduced mod P
+
+
 @lru_cache(maxsize=None)
 def x_mod(n: int, j: int, sign: int) -> tuple:
-    return reduce_table(row_table(_tau_letter(n, "x", j, sign).entries))
-
-
-# y and t act on rows: r M is the transpose of M acting on the column r
+    return reduce_table(x_left(n, j, sign))
 
 
 @lru_cache(maxsize=None)
 def y_mod(n: int, idx: int, sign: int) -> tuple:
-    return reduce_table(row_table(zip(*_tau_y(n, idx, sign).entries)))
+    return reduce_table(y_right(n, idx, sign))
 
 
 @lru_cache(maxsize=None)
 def t_mod(n: int, i: int) -> tuple:
-    return reduce_table(row_table(zip(*t_element(n, i).entries)))
+    return reduce_table(t_right(n, i))
 
 
 @lru_cache(maxsize=None)

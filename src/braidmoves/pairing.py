@@ -12,6 +12,20 @@ ring.  The zero test that the move detectors rely on is the evaluated one;
 a symbolic zero is only a sound fast path (tau is Z-linear), never the
 other way around.  Whether a symbolically nonzero value can tau-evaluate
 to zero is unknown; if it ever happens it is logged as a noteworthy event.
+
+The evaluated value of two loops, S = sum_i C_i t_i M_i, is computed by a
+fold, with no matrix-by-matrix product.  One loop is swept into its
+components (homology.tau_components_y or _x, flat rows pushed through
+sparse generator tables) and they are multiplied by the t_i through the
+table of t_i: R_i = C_i t_i (y_terms) or L_i = t_i M_i (x_terms).  The
+other loop is folded over those terms with one accumulator.  Over the
+x-loop, left to right, acc <- acc X + R_i for x_i and
+acc <- (acc - R_i) X for x_i^-1 (fold_over_x, homology.fold_x); over the
+y-loop, right to left, acc <- Y acc + L_i for y_i and
+acc <- Y (acc - L_i) for y_i^-1 (fold_over_y, homology.fold_y).  The
+folded loop's components are never formed; the shorter loop is the one
+swept, and the terms of one y-loop can serve several x-loops.  The result
+is the full exact (n+1) x (n+1) value.
 """
 
 from __future__ import annotations
@@ -19,8 +33,22 @@ from __future__ import annotations
 import logging
 from functools import lru_cache, partial
 
-from .homology import GroupRingElement, HomologyClassX, HomologyClassY
-from .magnus import MagnusElement, tau
+from .homology import (
+    GroupRingElement,
+    HomologyClassX,
+    HomologyClassY,
+    evaluate_x,
+    evaluate_y,
+    fold_x,
+    fold_y,
+    fox_x,
+    fox_y,
+    tau_components_x,
+    tau_components_y,
+    x_right,
+    y_left,
+)
+from .magnus import MagnusElement, RowMatrix, row_table, tau, transposed_table
 from .words import FreeWord, WordError
 
 logger = logging.getLogger(__name__)
@@ -47,42 +75,58 @@ def t_element(n: int, i: int) -> MagnusElement:
 class PairingValue:
     """A pairing value, symbolic in ZF_n with a memoized tau-evaluation.
 
-    The evaluation uses tau's multiplicativity: each diagonal term
-    c_i (x_1..x_i - x_1..x_{i-1}) m_i evaluates to tau(c_i) t_i tau(m_i),
-    and when a class carries its loop word the component matrices come
-    from the linear-time sweeps in the homology module.  The result is
-    tau(symbolic); the tests pin the two routes together.
+    The value of two loops is evaluated by a fold (evaluate_loops): one
+    loop is swept into its components and each letter of the other updates
+    one accumulator, so the folded loop's components are never formed and
+    no matrix is multiplied by a matrix.  Classes without loop words are
+    evaluated term by term, tau(c_i) t_i tau(m_i), and a bare symbolic
+    value through tau.  Every route gives tau(symbolic); the tests pin them
+    together.
 
     Both forms are memoized and computed on first use.  The zero test of
-    a fresh value, neither of whose forms is computed yet, screens it first
-    through the evaluation homomorphism of modcheck, whose nonzero answers
-    are exact; a caller that has already screened the loops takes the
-    symbolic form first, and the test goes straight to the exact decision.
+    a fresh value built from classes, neither of whose forms is computed
+    yet, screens it first through the evaluation homomorphism of modcheck,
+    whose nonzero answers are exact.  A value built from loop words alone
+    (pair_loops) is not screened: its callers have screened the loops
+    already, and its symbolic form builds the classes when first read.
     """
 
-    __slots__ = ("_symbolic", "_classes", "_evaluated")
+    __slots__ = ("_symbolic", "_classes", "_loops", "_yterms", "_evaluated")
 
     def __init__(
         self,
         symbolic: GroupRingElement | None = None,
         classes: tuple[HomologyClassY, HomologyClassX] | None = None,
+        loops: tuple[FreeWord, FreeWord] | None = None,
+        yterms: tuple | None = None,
     ):
-        if symbolic is None and classes is None:
-            raise ValueError("need a symbolic value or the paired classes")
+        if symbolic is None and classes is None and loops is None:
+            raise ValueError("need a symbolic value, the paired classes or their loops")
+        if loops is None and classes is not None:
+            yc, xc = classes
+            if yc.loop is not None and xc.loop is not None:
+                loops = (yc.loop, xc.loop)
         self._symbolic = symbolic
         self._classes = classes
+        self._loops = loops
+        self._yterms = yterms
         self._evaluated: MagnusElement | None = None
 
     @property
     def symbolic(self) -> GroupRingElement:
         if self._symbolic is None:
+            if self._classes is None:
+                yloop, xloop = self._loops
+                self._classes = (fox_y(yloop), fox_x(xloop))
             self._symbolic = _symbolic_pairing(*self._classes)
         return self._symbolic
 
     @property
     def evaluated(self) -> MagnusElement:
         if self._evaluated is None:
-            if self._classes is not None:
+            if self._loops is not None:
+                self._evaluated = evaluate_loops(*self._loops, self._yterms)
+            elif self._classes is not None:
                 self._evaluated = _evaluate_factorwise(*self._classes)
             else:
                 self._evaluated = tau(self.symbolic)
@@ -111,22 +155,6 @@ class PairingValue:
         return f"PairingValue({self.symbolic})"
 
 
-def _y_component_matrices(yc: HomologyClassY) -> tuple[MagnusElement, ...]:
-    from .homology import evaluate_y, tau_components_y
-
-    if yc.loop is not None:
-        return tau_components_y(yc.loop)
-    return evaluate_y(yc)
-
-
-def _x_component_matrices(xc: HomologyClassX) -> tuple[MagnusElement, ...]:
-    from .homology import evaluate_x, tau_components_x
-
-    if xc.loop is not None:
-        return tau_components_x(xc.loop)
-    return evaluate_x(xc)
-
-
 def pairing_sum(ymats, xmats, t, zero):
     """sum_i c_i t(i) m_i over the components c_i, m_i of two classes, in
     any ring whose elements have is_zero(): ZF_n, the Magnus matrices, or
@@ -143,11 +171,78 @@ def pairing_sum(ymats, xmats, t, zero):
 def _evaluate_factorwise(yc: HomologyClassY, xc: HomologyClassX) -> MagnusElement:
     n = yc.n
     return pairing_sum(
-        _y_component_matrices(yc),
-        _x_component_matrices(xc),
-        partial(t_element, n),
-        MagnusElement.zero(n + 1),
+        evaluate_y(yc), evaluate_x(xc), partial(t_element, n), MagnusElement.zero(n + 1)
     )
+
+
+# -- the fold ---------------------------------------------------------------
+#
+# S = sum_i C_i t_i M_i for the components C_i = tau(c_i) of [yloop]_y and
+# M_i = tau(m_i) of [xloop]_x.  One loop is swept into its components and
+# multiplied by the t_i; the other is folded over those terms, so its own
+# components are never formed.  Sweeping the shorter loop keeps the terms,
+# and the products by the dense t_i, small.
+
+
+@lru_cache(maxsize=None)
+def t_right(n: int, i: int) -> tuple:
+    """r -> r t_i, on flat rows."""
+    return transposed_table(t_element(n, i))
+
+
+@lru_cache(maxsize=None)
+def t_left(n: int, i: int) -> tuple:
+    """v -> t_i v, on flat rows read as columns."""
+    return row_table(t_element(n, i).entries)
+
+
+def y_terms(yloop: FreeWord) -> tuple[RowMatrix, ...]:
+    """R_i = C_i t_i for the components C_i of [yloop]_y, the terms that
+    fold_over_x folds the x-loop over; several x-loops can share them."""
+    n = yloop.n
+    zero = RowMatrix.zero(n + 1)
+    return tuple(
+        zero if c.is_zero() else RowMatrix(c.entries) * t_right(n, i)
+        for i, c in enumerate(tau_components_y(yloop), start=1)
+    )
+
+
+def x_terms(xloop: FreeWord) -> tuple[RowMatrix, ...]:
+    """The transposes of L_i = t_i M_i for the components M_i of [xloop]_x,
+    the terms that fold_over_y folds the y-loop over."""
+    n = xloop.n
+    zero = RowMatrix.zero(n + 1)
+    return tuple(
+        zero if m.is_zero() else t_left(n, i) * RowMatrix(tuple(zip(*m.entries)))
+        for i, m in enumerate(tau_components_x(xloop), start=1)
+    )
+
+
+def fold_over_x(yloop: FreeWord, xloop: FreeWord, yterms: tuple | None = None) -> MagnusElement:
+    """S from the y-terms R_i and the x-loop folded left to right:
+    acc <- acc X + R_i for x_i, acc <- (acc - R_i) X for x_i^-1.  yterms,
+    when given, is y_terms(yloop)."""
+    terms = y_terms(yloop) if yterms is None else yterms
+    zero = RowMatrix.zero(yloop.n + 1)
+    return fold_x(xloop, terms, zero, partial(x_right, yloop.n)).element()
+
+
+def fold_over_y(yloop: FreeWord, xloop: FreeWord) -> MagnusElement:
+    """S from the x-terms L_i and the y-loop folded right to left:
+    acc <- Y acc + L_i for y_i, acc <- Y (acc - L_i) for y_i^-1.  The rows
+    held are those of the transposes."""
+    zero = RowMatrix.zero(yloop.n + 1)
+    acc = fold_y(yloop, x_terms(xloop), zero, partial(y_left, yloop.n))
+    return acc.transposed_element()
+
+
+def evaluate_loops(yloop: FreeWord, xloop: FreeWord, yterms: tuple | None = None) -> MagnusElement:
+    """The exact value of <[yloop]_y, [xloop]_x> in the matrix ring, by a
+    fold over the longer loop (over the x-loop when yterms, y_terms(yloop),
+    is given)."""
+    if yterms is None and len(xloop) < len(yloop):
+        return fold_over_y(yloop, xloop)
+    return fold_over_x(yloop, xloop, yterms)
 
 
 def _symbolic_pairing(yc: HomologyClassY, xc: HomologyClassX) -> GroupRingElement:
@@ -162,6 +257,15 @@ def pair(yc: HomologyClassY, xc: HomologyClassX) -> PairingValue:
     if yc.n != xc.n:
         raise WordError(f"puncture count mismatch: {yc.n} vs {xc.n}")
     return PairingValue(classes=(yc, xc))
+
+
+def pair_loops(yloop: FreeWord, xloop: FreeWord, yterms: tuple | None = None) -> PairingValue:
+    """<[yloop]_y, [xloop]_x>, with neither class built until its symbolic
+    form is read; yterms, when given, is y_terms(yloop), shared by the
+    values of several x-loops."""
+    if yloop.n != xloop.n:
+        raise WordError(f"puncture count mismatch: {yloop.n} vs {xloop.n}")
+    return PairingValue(loops=(yloop, xloop), yterms=yterms)
 
 
 def is_zero_pairing(p: PairingValue) -> bool:

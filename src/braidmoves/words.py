@@ -36,12 +36,15 @@ Letter = tuple[int, int]  # (index, sign) with sign in {+1, -1}
 
 
 def _reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
+    # letters that are tuples already are kept, not copied: the words of a
+    # search then share the few letter objects of the generator tables
     out: list[Letter] = []
-    for idx, sign in letters:
+    for letter in letters:
+        idx, sign = letter
         if out and out[-1][0] == idx and out[-1][1] == -sign:
             out.pop()
         else:
-            out.append((idx, sign))
+            out.append(letter if type(letter) is tuple else (idx, sign))
     return tuple(out)
 
 

@@ -7,6 +7,7 @@ import braidmoves.detect as D
 from braidmoves.detect import (
     EXCHANGE,
     MAX_ENUM_WORDS,
+    InvariantViolation,
     REDUCE_NEGATIVE,
     REDUCE_POSITIVE,
     braid_words,
@@ -244,6 +245,23 @@ def test_beta1_finds_expected_second_pair():
     assert fox_x(moved).coefficient(4).is_zero()
 
 
+def test_reverification_rejects_false_positives(monkeypatch):
+    # a zero test that accepts every candidate: the from-scratch evaluation
+    # must stop both scans before they yield a non-certificate.  The first
+    # reducing candidate of the identity braid is x1, and <[x1^-1]_y, [x1]_x>
+    # = t_1; the first exchange pair of sigma_3 is (x3, x4) with
+    # sigma_3(x4) = x4^-1 x3 x4, and <[x3^-1]_y, [x4^-1 x3 x4]_x> != 0
+    b_reduce, b_exchange = BraidWord.identity(4), BraidWord.generator(4, 3)
+    x3, x4 = FreeWord.generator(4, 3), FreeWord.generator(4, 4)
+    assert not D._verified_zero(FreeWord.generator(4, 1, -1), FreeWord.generator(4, 1))
+    assert not D._verified_zero(x3.inverse(), b_exchange(x4))
+    monkeypatch.setattr(D, "_loop_pairing_zero", lambda yloop, xloop, memo: True)
+    with pytest.raises(InvariantViolation):
+        next(reducing_certificates(b_reduce, 1))
+    with pytest.raises(InvariantViolation):
+        next(exchange_certificates(b_exchange, 1))
+
+
 # -- the rewrite --------------------------------------------------------------------
 
 
@@ -265,16 +283,31 @@ def test_find_joint_braid_unreachable():
 
 
 def test_find_joint_braid_state_budget(monkeypatch):
-    # x1 x2 has exponent sum 2, so it is no image of x3: only the state
-    # budget ends this search, long before depth 40
-    assert find_joint_braid(FreeWord.parse("x1 x2", 4), FreeWord.generator(4, 2), 40) is None
-    # a reachable pair is given up too once the budget runs out
+    # x1 x2 has exponent sum 2, so it is no image of x3: only the budgets
+    # end this search, long before depth 40, and the letter budget bounds
+    # its memory though the stored words grow with the depth
+    tracemalloc.start()
+    try:
+        unreachable = find_joint_braid(
+            FreeWord.parse("x1 x2", 4), FreeWord.generator(4, 2), 40
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert unreachable is None
+    assert peak < 32_000_000
+    # a reachable pair is given up too once either budget runs out
     n = 4
     psi = BraidWord.parse("-2 1 3", n)
     target = (psi(FreeWord.generator(n, 3)), psi(FreeWord.generator(n, 4)))
     assert find_joint_braid(*target, 6) is not None
-    monkeypatch.setattr(D, "MAX_JOINT_STATES", 5)
-    assert find_joint_braid(*target, 6) is None
+    with monkeypatch.context() as m:
+        m.setattr(D, "MAX_JOINT_STATES", 5)
+        assert find_joint_braid(*target, 6) is None
+    with monkeypatch.context() as m:
+        m.setattr(D, "MAX_JOINT_LETTERS", 40)
+        assert find_joint_braid(*target, 6) is None
+    assert find_joint_braid(*target, 6) is not None
 
 
 def test_rewrite_special_form_flips_crossings():

@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import pytest
 
@@ -7,8 +8,11 @@ from braidmoves.homology import (
     GroupRingElement,
     HomologyClassX,
     ProvenanceError,
+    _y_word,
     evaluate_x,
     evaluate_y,
+    fold_x,
+    fold_y,
     fox_x,
     fox_y,
     left_action,
@@ -257,6 +261,36 @@ def test_fast_component_sweeps_match():
         w = rand_free(rng, n, 8)
         assert tau_components_x(w) == evaluate_x(fox_x(w))
         assert tau_components_y(w) == evaluate_y(fox_y(w))
+
+
+def test_fold_x_in_the_group_ring():
+    # the fold gives sum_i r_i m_i over the components m_i of [w]_x without
+    # forming them; in ZF_n the products are exact words
+    rng = random.Random(14)
+    for _ in range(30):
+        n = rng.choice([2, 3, 4])
+        w = rand_free(rng, n, 10)
+        rs = tuple(GroupRingElement.from_word(rand_free(rng, n, 3)) for _ in range(n))
+        zero = GroupRingElement.zero(n)
+        expected = zero
+        for r, m in zip(rs, fox_x(w).coeffs):
+            expected = expected + r * m
+        assert fold_x(w, rs, zero, partial(FreeWord.generator, n)) == expected
+
+
+def test_fold_y_in_the_group_ring():
+    # the mirror of fold_x: sum_i c_i l_i over the components c_i of [w]_y
+    rng = random.Random(15)
+    for _ in range(30):
+        n = rng.choice([2, 3, 4])
+        w = rand_free(rng, n, 10)
+        ls = tuple(GroupRingElement.from_word(rand_free(rng, n, 3)) for _ in range(n))
+        zero = GroupRingElement.zero(n)
+        expected = zero
+        for c, r in zip(fox_y(w).coeffs, ls):
+            expected = expected + c * r
+        image = lambda i, s, n=n: GroupRingElement.from_word(_y_word(n, i, s))
+        assert fold_y(w, ls, zero, image) == expected
 
 
 def test_left_action_y_golden():

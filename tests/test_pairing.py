@@ -8,13 +8,30 @@ from braidmoves.homology import (
     GroupRingElement,
     HomologyClassX,
     HomologyClassY,
+    _tau_y,
+    evaluate_x,
+    evaluate_y,
     fox_x,
     fox_y,
     star_x_to_y,
     star_y_to_x,
+    sweep_x,
+    sweep_y,
 )
-from braidmoves.magnus import MagnusElement, tau
-from braidmoves.pairing import PairingValue, is_zero_pairing, pair, t_element, x_prefix
+from braidmoves.magnus import MagnusElement, _tau_letter, tau
+from braidmoves.pairing import (
+    PairingValue,
+    evaluate_loops,
+    fold_over_x,
+    fold_over_y,
+    is_zero_pairing,
+    pair,
+    pair_loops,
+    pairing_sum,
+    t_element,
+    x_prefix,
+    y_terms,
+)
 from braidmoves.words import BraidWord, FreeWord, y_basis_word
 
 
@@ -89,6 +106,110 @@ def test_evaluated_equals_tau_of_symbolic():
         xc = fox_x(rand_free(rng, n, 5))
         value = pair(yc, xc)
         assert value.evaluated == tau(value.symbolic)
+
+
+# -- the fold, pinned against the routes independent of it ----------------------
+
+
+def _fold_cases():
+    """Seeded B3-B5 loop pairs (yloop, xloop, zero?): <b(x_i)^-1, b(x_j)> for
+    i < j, which vanishes, the same with i and j swapped and with i = j,
+    which do not, and random loops (None: not known in advance)."""
+    rng = random.Random(12)
+    for n in (3, 4, 5):
+        for _ in range(4):
+            b = rand_braid(rng, n, 6)
+            i, j = sorted(rng.sample(range(1, n + 1), 2))
+            xi, xj = b(FreeWord.generator(n, i)), b(FreeWord.generator(n, j))
+            yield xi.inverse(), xj, True
+            yield xj.inverse(), xi, False
+            yield xi.inverse(), xi, False
+            yield rand_free(rng, n, 8), rand_free(rng, n, 8), None
+
+
+def test_fold_equals_factorwise_and_symbolic():
+    for yloop, xloop, zero in _fold_cases():
+        n = yloop.n
+        value = pair(fox_y(yloop), fox_x(xloop))
+        folded = value.evaluated
+        assert folded == pairing_sum(
+            evaluate_y(fox_y(yloop)),
+            evaluate_x(fox_x(xloop)),
+            partial(t_element, n),
+            MagnusElement.zero(n + 1),
+        )
+        assert folded == tau(value.symbolic)
+        # the two folds, whichever loop evaluate_loops picks to sweep
+        assert fold_over_x(yloop, xloop) == folded
+        assert fold_over_y(yloop, xloop) == folded
+        if zero is not None:
+            assert folded.is_zero() == zero, (str(yloop), str(xloop))
+
+
+# the sweeps over whole Magnus matrices, independent of the row tables
+
+
+def _dense_components_x(w):
+    size = w.n + 1
+    one, zero = MagnusElement.identity(size), MagnusElement.zero(size)
+    return sweep_x(w, one, zero, partial(_tau_letter, w.n, "x"))
+
+
+def _dense_components_y(w):
+    size = w.n + 1
+    one, zero = MagnusElement.identity(size), MagnusElement.zero(size)
+    return sweep_y(w, one, zero, partial(_tau_y, w.n))
+
+
+def test_fold_on_loops_of_about_a_hundred_letters():
+    # b(x_i) of pseudo-Anosov-like braids; the reference sweeps whole
+    # Magnus matrices on both sides, since tau coefficient by coefficient
+    # takes seconds at this length
+    for n, text, i, j in (
+        (3, "1 -2 1 -2 1 -2 1", 1, 2),
+        (4, "1 -2 3 1 -2 3 1 -2 3", 2, 4),
+        (5, "1 -2 3 -4 1 -2 3 -4 1 -2 3 -4", 2, 3),
+    ):
+        b = BraidWord.parse(text, n)
+        xi, xj = b(FreeWord.generator(n, i)), b(FreeWord.generator(n, j))
+        assert max(len(xi), len(xj)) >= 93
+        for yloop, xloop, zero in ((xi.inverse(), xj, True), (xj.inverse(), xi, False)):
+            value = pair_loops(yloop, xloop)
+            folded = value.evaluated
+            assert folded == pairing_sum(
+                _dense_components_y(yloop),
+                _dense_components_x(xloop),
+                partial(t_element, n),
+                MagnusElement.zero(n + 1),
+            )
+            assert folded == tau(value.symbolic)
+            assert folded.is_zero() == zero
+            assert fold_over_x(yloop, xloop) == fold_over_y(yloop, xloop) == folded
+
+
+def test_shared_y_terms_equal_separate_evaluations():
+    # the exchange re-verification folds two x-loops through one y-side
+    rng = random.Random(13)
+    for _ in range(12):
+        n = rng.choice([3, 4, 5])
+        yloop = rand_free(rng, n, 8)
+        terms = y_terms(yloop)
+        for _ in range(2):
+            xloop = rand_free(rng, n, 8)
+            shared = pair_loops(yloop, xloop, terms).evaluated
+            assert shared == evaluate_loops(yloop, xloop)
+            assert shared == pair(fox_y(yloop), fox_x(xloop)).evaluated
+
+
+def test_pair_loops_builds_classes_only_for_the_symbolic_form():
+    y, x = FreeWord.parse("x2^-1", 3), FreeWord.parse("x2", 3)
+    value = pair_loops(y, x)
+    assert not value.evaluated.is_zero()
+    assert value._classes is None
+    assert value.symbolic == pair(fox_y(y), fox_x(x)).symbolic
+    assert not value.is_zero()
+    with pytest.raises(ValueError):
+        pair_loops(y, FreeWord.generator(4, 1))
 
 
 # -- the theorem's properties ---------------------------------------------------
