@@ -168,6 +168,18 @@ def test_oversized_words_rejected(capsys):
         assert code == EXIT_USAGE and "error" in err
 
 
+def test_oversized_exact_products_rejected(capsys, monkeypatch):
+    # refused once the true values, one letter on, pass the cap; lowered here
+    # so that the refusal comes after tens of letters, not hundreds
+    monkeypatch.setattr(krammer, "MAX_PACKED_BITS", 1 << 20)
+    for args in (
+        ("entry", "-n", "3", "--i", "3", "--j", "3", "s1^50000 s2^50000"),
+        ("special-forms", "-n", "4", "s1^40000 s3^-40000 s2^20000"),
+    ):
+        code, _, err = run(capsys, *args)
+        assert code == EXIT_USAGE and "MAX_PACKED_BITS" in err
+
+
 def test_oversized_depths_rejected(capsys):
     for args in (
         ("detect-reduce", "-n", "4", "--depth", "12", "1"),

@@ -1,9 +1,10 @@
 import random
+import tracemalloc
 
 import pytest
 
 import braidmoves.krammer as K
-from braidmoves.homology import fox_x, fox_y, tau_components_x
+from braidmoves.homology import evaluate_x, fox_x, fox_y, tau_components_x
 from braidmoves.krammer import (
     BlockMatrix,
     _fixes_generators,
@@ -21,7 +22,7 @@ from braidmoves.laurent import ZERO, LaurentPoly
 from braidmoves.magnus import MagnusElement, _dot, apply_table, tau
 from braidmoves.modcheck import P, dot_mod, poly_mod
 from braidmoves.pairing import pair, t_element
-from braidmoves.words import BraidWord, FreeWord, y_basis_word
+from braidmoves.words import BraidWord, FreeWord, WordError, y_basis_word
 
 
 def rand_braid(rng, n, max_len=8):
@@ -186,17 +187,67 @@ def reference_tau_plus(b):
     return acc
 
 
+def reduced_word(rng, n, length):
+    """A random braid word of exactly length letters, none cancelling the next."""
+    letters = []
+    while len(letters) < length:
+        letter = (rng.randrange(1, n), rng.choice([1, -1]))
+        if not letters or letters[-1] != (letter[0], -letter[1]):
+            letters.append(letter)
+    return BraidWord(n, tuple(letters))
+
+
+def reference_act(b, col):
+    """The image of b times a block column: BlockMatrix.__mul__ over the
+    generator images, rightmost first, on the block matrix whose first
+    block column is col and whose other blocks are zero."""
+    n = b.n
+    zero = MagnusElement.zero(n + 1)
+    acc = BlockMatrix(n, [[col[r] if c == 0 else zero for c in range(n)] for r in range(n)])
+    for i, sign in reversed(b.letters):
+        acc = tau_plus_generator(n, i, sign) * acc
+    return acc.column(1)
+
+
 def test_sparse_routes_equal_the_block_product():
     rng = random.Random(31)
+    samples = []
     for _ in range(18):
         n = rng.choice([3, 4, 5])
-        b = rand_braid(rng, n, 9 if n < 5 else 6)
+        samples.append(rand_braid(rng, n, 9 if n < 5 else 6))
+    samples += [
+        reduced_word(rng, n, length)
+        for n, length in ((3, 12), (3, 20), (4, 12), (4, 16), (5, 10), (5, 14))
+    ]
+    for b in samples:
+        n = b.n
         ref = reference_tau_plus(b)
         assert tau_plus(b) == ref
         for j in range(1, n + 1):
             assert tau_plus_column(b, j) == ref.column(j)
             for i in range(1, n + 1):
                 assert entry(b, i, j) == ref.block(i, j)
+    # one column and one block of a 60-letter word on each strand count
+    for n in (3, 4, 5):
+        b = reduced_word(rng, n, 60)
+        i, j = rng.randrange(1, n + 1), rng.randrange(1, n + 1)
+        ref = reference_act(b, K._basis_column(n, j))
+        assert tau_plus_column(b, j) == ref
+        assert entry(b, i, j) == ref[i - 1]
+
+
+def act_samples(rng):
+    """(b, col): columns of Fox components, with negative exponents and
+    coefficients above one, the same scaled by large integers of either
+    sign, zero columns, and the empty braid among the braids."""
+    for k in range(6):
+        n = rng.choice([3, 4, 5])
+        b = BraidWord.identity(n) if k == 0 else reduced_word(rng, n, rng.randrange(3, 12))
+        w = FreeWord(n, tuple((rng.randrange(1, n + 1), rng.choice([1, -1])) for _ in range(8)))
+        col = evaluate_x(fox_x(w * w))
+        yield b, col
+        yield b, tuple(blk.scale(c) for blk, c in zip(col, (2**71 - 1, -(2**71) + 1, 3, -5, 7)))
+        yield b, (MagnusElement.zero(n + 1),) * n
 
 
 def test_sparse_action_on_a_block_column_equals_the_block_product():
@@ -212,6 +263,149 @@ def test_sparse_action_on_a_block_column_equals_the_block_product():
             for r in range(1, n + 1)
         )
         assert tau_plus_act(b, col) == expected
+    # Fox columns, the same with 71-bit coefficients of either sign (their
+    # slots are full), zero columns and the empty braid
+    big = 0
+    for b, col in act_samples(rng):
+        assert tau_plus_act(b, col) == reference_act(b, col)
+        if not b.letters:
+            assert tau_plus_act(b, col) == col
+        big += any(abs(c) > 1 for blk in col for row in blk.entries for p in row
+                   for c in p._terms.values())
+    assert big >= 12
+
+
+# -- the bound pass of the exact push -------------------------------------------------
+
+
+def test_bound_pass_bounds_every_pushed_coefficient():
+    rng = random.Random(53)
+    samples = list(act_samples(rng))
+    samples += [(reduced_word(rng, n, 16), K._basis_column(n, n)) for n in (3, 4, 5)]
+    for b, col in samples:
+        m = b.n + 1
+        vecs = [[blk.entries[a][c] for blk in col for a in range(m)] for c in range(m)]
+        start = [K._bound(row) for row in zip(*vecs)]
+        if not any(start):
+            continue
+        letters = b.letters[::-1]
+        stop, bounds, (norm, q0, q1, t0, t1) = K._bound_pass(b.n, letters, 0, start, m * len(start))
+        pushed = K._push_exact(b.n, letters[:stop], vecs, range(len(start)))
+        for r, bound in enumerate(bounds):
+            for p in (vec[r] for vec in pushed):
+                for (a, e), c in p._terms.items():
+                    assert abs(c) <= bound[0] <= norm
+                    assert q0 <= bound[1] <= a <= bound[2] <= q1
+                    assert t0 <= bound[3] <= e <= bound[4] <= t1
+
+
+def test_packed_bounds_and_reslotting_equal_unpacking():
+    # the true bounds read off packed integers, and the repacking into
+    # narrower, wider and shifted layouts, against the dict route
+    rng = random.Random(55)
+    for _ in range(40):
+        polys = [
+            LaurentPoly({
+                (rng.randrange(-6, 7), rng.randrange(-4, 5)): rng.choice([1, -1])
+                * rng.randrange(1, 2 ** rng.choice([1, 7, 20, 70]))
+                for _ in range(rng.randrange(0, 12))
+            })
+            for _ in range(4)
+        ]
+        bound = K._bound(polys)
+        if bound is None:
+            continue
+        old = (K._slot_bits(bound[0]) + 8 * rng.randrange(3), 9 + rng.randrange(3), -6, -4)
+        packed = [K._pack(p, bound, old) for p in polys]
+        assert [K._unpack(x, bound, old) for x in packed] == polys
+        held = [bound[0], -6, 6, -4, 4]  # the layout's whole window
+        assert K._merge(K._packed_bound(x, held, old) for x in packed)[1:] == bound[1:]
+        for p, x in zip(polys, packed):
+            got = K._packed_bound(x, held, old)
+            if not p:
+                assert got is None
+                continue
+            assert got[1:] == K._bound([p])[1:]
+            assert K._bound([p])[0] <= got[0] <= 2 * K._bound([p])[0]
+        for s in {K._slot_bits(bound[0]), K._slot_bits(bound[0]) + 16}:
+            new = (s, bound[4] - bound[3] + 1 + rng.randrange(3), bound[1] - rng.randrange(3), bound[3])
+            assert [K._unpack(K._reslot(x, bound, old, new), bound, new) for x in packed] == polys
+
+
+def conjugated_relator_product(rng, n, pieces, strands):
+    """pieces conjugated relators w r w^-1 on strands 1 .. strands, as a
+    braid word on n strands."""
+    letters = []
+    for _ in range(pieces):
+        w = rand_braid(rng, strands, 5)
+        letters += w.letters + relator(rng, strands).letters + w.inverse().letters
+    return BraidWord(n, tuple(letters))
+
+
+def test_long_relator_products_are_pushed_in_stretches(monkeypatch):
+    # the bound of a push only grows, while the true column of a product of
+    # conjugated relators keeps returning to a small one: P s_{n-1}^-1 Q on
+    # about 500 letters needs fresh bounds, stretch by stretch
+    rng = random.Random(56)
+    stretches = []
+    bound_pass = K._bound_pass
+
+    def counted(*args):
+        out = bound_pass(*args)
+        stretches.append(out[0])
+        return out
+
+    monkeypatch.setattr(K, "_bound_pass", counted)
+    for n, strands in ((3, 3), (4, 3)):
+        s = BraidWord.generator(n, n - 1, -1)
+        b = conjugated_relator_product(rng, n, 28, strands) * s
+        b = b * conjugated_relator_product(rng, n, 28, strands)
+        assert len(b) >= 400
+        stretches.clear()
+        r_nn = entry(b, n, n)
+        assert len(stretches) > 3 and stretches[-1] == len(b)
+        assert r_nn == reference_act(b, K._basis_column(n, n))[n - 1]
+        if strands < n:  # P, Q on strands 1 .. n-1: r_nn vanishes
+            assert r_nn.is_zero()
+
+
+def test_oversized_exact_products_rejected(monkeypatch):
+    # a column whose own exponents span 2 x 10^7 powers of q is refused
+    # before the first letter
+    far = MagnusElement.identity(4).scale(LaurentPoly({(10**7, 0): 1, (-(10**7), 0): 1}))
+    zero = MagnusElement.zero(4)
+    tracemalloc.start()
+    try:
+        for b in (BraidWord.identity(3), BraidWord.generator(3, 1)):
+            with pytest.raises(WordError, match="MAX_PACKED_BITS"):
+                tau_plus_act(b, (far, zero, zero))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    # a long word is refused once its true values, one letter on, pass the
+    # cap; at the real cap that takes about 520 letters, minutes and 0.5 GB,
+    # so the cap is lowered here to 2^20 bits (128 kB); the peak also holds
+    # the reversed 100 000-letter word (0.8 MB)
+    monkeypatch.setattr(K, "MAX_PACKED_BITS", 1 << 20)
+    rng = random.Random(54)
+    words = [reduced_word(rng, 5, 100_000), BraidWord.parse("s1^50000 s2^50000", 3)]
+    tracemalloc.start()
+    try:
+        for b in words:
+            with pytest.raises(WordError, match="MAX_PACKED_BITS"):
+                entry(b, b.n, b.n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000
+    # is_identity's fallback to the block matrix raises the same error
+    b = BraidWord.parse("1 2 1 -2 -1 -2", 3)
+    monkeypatch.setattr(K, "ACTION_LETTER_BUDGET", 2)
+    assert is_identity(b)
+    monkeypatch.setattr(K, "MAX_PACKED_BITS", 1000)
+    with pytest.raises(WordError, match="MAX_PACKED_BITS"):
+        is_identity(b)
 
 
 def flat_rows(m):

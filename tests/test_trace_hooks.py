@@ -40,6 +40,10 @@ def test_tracer_hooks_install_and_undo(monkeypatch):
             b = BraidWord.parse("1 2 1 -2 -1 -2", 3)
             assert K.is_identity(b)
             assert K.entry(b, 1, 1).is_identity()
+            # the exact push runs on packed integers; the reference block
+            # product still multiplies Laurent polynomials through M._dot
+            g = K.tau_plus_generator(3, 1)
+            assert (g * K.tau_plus_generator(3, 1, -1)).is_identity()
         finally:
             term_counts.undo()
     finally:
