@@ -8,6 +8,7 @@ text or JSON output.  Exit codes: 0 success (and found, for detection),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -109,14 +110,7 @@ def _cmd_detect_exchange(args) -> int:
         )
         rewritten = _detect.rewrite_exchange(b, result, rewrite_depth)
         if rewritten is not None:
-            result = _detect.DetectionResult(
-                found=True,
-                depth_searched=result.depth_searched,
-                kind=result.kind,
-                witnesses=result.witnesses,
-                rewritten=rewritten,
-                joint_witness=result.joint_witness,
-            )
+            result = dataclasses.replace(result, rewritten=rewritten)
     _emit(args, result.to_json(), _describe(result))
     return EXIT_OK if result.found else EXIT_NOT_FOUND
 

@@ -23,6 +23,10 @@ tested for zero.
   with coefficients on the left.  Input in the x-basis is rewritten
   through the involution that swaps the two bases.
 
+HomologyClassX and HomologyClassY share one implementation (the private
+base _HomologyClass); a sum of classes from the two modules raises
+TypeError.
+
 Each derivation is computed by one sweep (sweep_x, sweep_y) that runs in
 any ring: fox_x/fox_y run it in ZF_n, tau_components_x/y in the Magnus
 matrices (flat rows pushed through the sparse tables x_left and y_right),
@@ -51,7 +55,6 @@ from .words import (
     WordError,
     _reduce,
     x_in_y_letters,
-    y_basis_word,
 )
 
 
@@ -185,16 +188,12 @@ class GroupRingElement:
         return f"GroupRingElement({self.n}, {self})"
 
 
-def _format_class(prefix: str, coeffs: tuple[GroupRingElement, ...]) -> str:
-    parts = [
-        f"{prefix}{i}*({c})" for i, c in enumerate(coeffs, start=1) if not c.is_zero()
-    ]
-    return " + ".join(parts) if parts else "0"
-
-
 @dataclass(frozen=True)
-class HomologyClassX:
-    """An element of the x-based module, written sum_i e_i c_i."""
+class _HomologyClass:
+    """What the x- and y-based classes share: n coefficients in ZF_n, an
+    optional loop word, and the module operations.  A subclass names its
+    basis vectors _BASIS + "1" .. _BASIS + str(n); a sum with a class of
+    the other module is NotImplemented."""
 
     n: int
     coeffs: tuple[GroupRingElement, ...]
@@ -207,65 +206,44 @@ class HomologyClassX:
     def coefficient(self, i: int) -> GroupRingElement:
         return self.coeffs[i - 1]
 
-    def __add__(self, other: HomologyClassX) -> HomologyClassX:
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         if self.n != other.n:
             raise WordError("puncture count mismatch")
-        return HomologyClassX(
-            self.n, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return type(self)(self.n, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __neg__(self) -> HomologyClassX:
-        return HomologyClassX(self.n, tuple(-c for c in self.coeffs))
+    def __neg__(self):
+        return type(self)(self.n, tuple(-c for c in self.coeffs))
+
+    def is_zero(self) -> bool:
+        return all(c.is_zero() for c in self.coeffs)
+
+    def __str__(self) -> str:
+        parts = [f"{self._BASIS}{i}*({c})" for i, c in enumerate(self.coeffs, 1) if c]
+        return " + ".join(parts) if parts else "0"
+
+
+@dataclass(frozen=True)
+class HomologyClassX(_HomologyClass):
+    """An element of the x-based module, written sum_i e_i c_i."""
+
+    _BASIS = "e"
 
     def right_mul(self, r: GroupRingElement | FreeWord | int) -> HomologyClassX:
         """Componentwise right multiplication; drops loop provenance."""
         return HomologyClassX(self.n, tuple(c * r for c in self.coeffs))
 
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
-
-    def __str__(self) -> str:
-        return _format_class("e", self.coeffs)
-
 
 @dataclass(frozen=True)
-class HomologyClassY:
+class HomologyClassY(_HomologyClass):
     """An element of the y-based module, written sum_i c_i f_i."""
 
-    n: int
-    coeffs: tuple[GroupRingElement, ...]
-    loop: FreeWord | None = field(default=None, compare=False)
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.n:
-            raise WordError(f"expected {self.n} coefficients, got {len(self.coeffs)}")
-
-    def coefficient(self, i: int) -> GroupRingElement:
-        return self.coeffs[i - 1]
-
-    def __add__(self, other: HomologyClassY) -> HomologyClassY:
-        if self.n != other.n:
-            raise WordError("puncture count mismatch")
-        return HomologyClassY(
-            self.n, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __neg__(self) -> HomologyClassY:
-        return HomologyClassY(self.n, tuple(-c for c in self.coeffs))
+    _BASIS = "f"
 
     def left_mul(self, r: GroupRingElement | FreeWord | int) -> HomologyClassY:
         """Componentwise left multiplication; drops loop provenance."""
-        if isinstance(r, int):
-            return HomologyClassY(self.n, tuple(c.scale(r) for c in self.coeffs))
-        if isinstance(r, FreeWord):
-            r = GroupRingElement.from_word(r)
         return HomologyClassY(self.n, tuple(r * c for c in self.coeffs))
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
-
-    def __str__(self) -> str:
-        return _format_class("f", self.coeffs)
 
 
 # -- the derivations ----------------------------------------------------
@@ -357,8 +335,7 @@ def fold_y(w: FreeWord, terms, zero, image):
 
 @lru_cache(maxsize=None)
 def _y_word(n: int, idx: int, sign: int) -> FreeWord:
-    word = y_basis_word(idx, n)
-    return word if sign == 1 else word.inverse()
+    return FreeWord(n, x_in_y_letters(idx, sign))
 
 
 def fox_x(w: FreeWord) -> HomologyClassX:

@@ -33,9 +33,11 @@ magnus.apply_table step per letter, in any ring given the ring's dot
 product.  tau_plus_act pushes the n+1 flat columns of a block column,
 tau_plus assembles the matrix from its n block columns, entry reads one
 block of one column, and the identity screen pushes a probe column
-through the tables reduced mod P.  The tables are built on first use,
-once per (n, i, sign).  BlockMatrix.__mul__, the generic block product,
-stays as the reference the tests hold them to.
+through the tables reduced mod P.  The exact tables are built on first
+use, once per (n, i, sign); every other form of them (mod P, the bounds
+and the packed shifts below) is made from them by magnus.map_table.
+BlockMatrix.__mul__, the generic block product, stays as the reference
+the tests hold them to.
 
 The exact push (_push_exact) runs on integers, by Kronecker
 substitution (Kronecker 1882; Harvey 2009), in three steps:
@@ -88,8 +90,8 @@ from operator import mul
 from typing import Sequence
 
 from .laurent import ZERO, LaurentPoly
-from .magnus import MagnusElement, apply_table, row_table, tau
-from .modcheck import P, dot_mod, probe_vectors, reduce_table
+from .magnus import MagnusElement, apply_table, map_table, row_table, tau
+from .modcheck import P, dot_mod, poly_mod, probe_vectors
 from .words import BraidWord, FreeWord, WordError, act_letters
 
 
@@ -214,7 +216,7 @@ def _rows(n: int, i: int, sign: int) -> tuple:
 @lru_cache(maxsize=None)
 def _rows_mod(n: int, i: int, sign: int) -> tuple:
     """_rows(n, i, sign) reduced mod P."""
-    return reduce_table(_rows(n, i, sign))
+    return map_table(_rows(n, i, sign), poly_mod)
 
 
 def _push(n: int, letters, vecs: list, tables, dot) -> list:
@@ -280,10 +282,8 @@ def _merge(bounds) -> list | None:
 def _rows_bound(n: int, i: int, sign: int) -> tuple:
     """_rows(n, i, sign) with each entry g given by its L1 norm and window,
     [sum |c|, min q, max q, min t, max t]."""
-    copy, dense = _rows(n, i, sign)
-    return copy, tuple(
-        (c, tuple((k, [sum(map(abs, g._terms.values()))] + _bound((g,))[1:]) for k, g in live))
-        for c, live in dense
+    return map_table(
+        _rows(n, i, sign), lambda g: [sum(map(abs, g._terms.values()))] + _bound((g,))[1:]
     )
 
 
@@ -422,13 +422,9 @@ def _push_exact(n: int, letters: Sequence, vecs: list, keep: Sequence[int]) -> l
 
         def packed(n, i, sign):
             if (i, sign) not in tables:
-                copy, dense = _rows(n, i, sign)
-                tables[i, sign] = copy, tuple(
-                    (c, tuple(
-                        (k, tuple((s * (a * w + e), coeff) for (a, e), coeff in g._terms.items()))
-                        for k, g in live
-                    ))
-                    for c, live in dense
+                tables[i, sign] = map_table(
+                    _rows(n, i, sign),
+                    lambda g: tuple((s * (a * w + e), c) for (a, e), c in g._terms.items()),
                 )
             return tables[i, sign]
 

@@ -44,10 +44,6 @@ class LaurentPoly:
         """coeff * q^a * t^b"""
         return LaurentPoly({(a, b): coeff})
 
-    @staticmethod
-    def integer(c: int) -> LaurentPoly:
-        return LaurentPoly({(0, 0): c})
-
     # -- ring structure -----------------------------------------------
 
     def __add__(self, other: LaurentPoly) -> LaurentPoly:
@@ -95,15 +91,9 @@ class LaurentPoly:
         res._terms = {k: c * v for k, v in self._terms.items()}
         return res
 
-    def shift(self, a: int, b: int) -> LaurentPoly:
-        """Multiply by the unit monomial q^a t^b."""
-        res = LaurentPoly.__new__(LaurentPoly)
-        res._terms = {(x + a, y + b): v for (x, y), v in self._terms.items()}
-        return res
-
     def __pow__(self, k: int) -> LaurentPoly:
         if k < 0:
-            raise ValueError("negative powers only exist for unit monomials; use shift")
+            raise ValueError("negative powers only exist for unit monomials; use monomial")
         acc = _ONE
         for _ in range(k):
             acc = acc * self

@@ -178,7 +178,9 @@ def _dot(live_row: list[tuple[int, LaurentPoly]], col: tuple[LaurentPoly, ...]) 
 # at k and zero elsewhere, and the (c, ((k, g), ...)) nonzero entries of
 # every other row c.  The block representation (krammer), the exact
 # pairing fold (pairing, on RowMatrix rows) and the mod-p screen
-# (modcheck) keep every generator image in this one format.
+# (modcheck) keep every generator image in this one format.  A table is
+# built once, from exact entries, and map_table carries it to another ring
+# or form (entries mod p, norm bounds, packed shifts), entry by entry.
 
 
 def row_table(rows) -> tuple:
@@ -192,6 +194,13 @@ def row_table(rows) -> tuple:
             copy.append(c)  # overwritten by the dense entry
             dense.append((c, live))
     return itemgetter(*copy), tuple(dense)
+
+
+def map_table(table, f) -> tuple:
+    """The table with f applied to each entry of its computed rows; the
+    copied rows stay as they are."""
+    copy, dense = table
+    return copy, tuple((c, tuple((k, f(g)) for k, g in live)) for c, live in dense)
 
 
 def apply_table(table, vec, dot) -> list:

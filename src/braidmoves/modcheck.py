@@ -21,17 +21,18 @@ the one sparse table format of the block representation
 (magnus.row_table, magnus.apply_table), reduced mod P: x_mod acts on
 columns, and y_mod and t_mod, which act on rows, are built from the
 transposed images.  All three are the exact tables of the pairing fold
-(homology.x_left, homology.y_right, pairing.t_right), reduced, so each
-table has one builder.  Each vector update costs at most O(n^2), not the O(n^3) of
-a matrix product.
+(homology.x_left, homology.y_right, pairing.t_right) with poly_mod
+applied to each entry by magnus.map_table, so each table has one
+builder.  Each vector update costs at most O(n^2), not the O(n^3) of a
+matrix product.
 
 The y-side vectors depend only on the y-loop and the x-side vectors only
 on the x-loop.  A detection scan passes one dict as memo to every screen
 it runs, so each loop is swept once per scan; the dict lives as long as
 the scan, and every scan starts cold.
 
-The word problem uses the same points, probes and tables (probe_vectors,
-reduce_table, dot_mod): krammer.is_identity pushes a probe column of
+The word problem uses the same points, probes and reduction (probe_vectors,
+poly_mod, dot_mod): krammer.is_identity pushes a probe column of
 length n(n+1) through the block generator tables reduced mod P, one
 O(n^2)-sized update per letter, and u^T M v != u^T v certifies that the
 braid is nontrivial before any exact product is formed.
@@ -44,7 +45,7 @@ from operator import mul
 
 from .homology import sweep_x, sweep_y, x_left, y_right
 from .laurent import LaurentPoly
-from .magnus import apply_table
+from .magnus import apply_table, map_table
 from .pairing import pairing_sum, t_right
 from .words import FreeWord
 
@@ -62,29 +63,23 @@ def poly_mod(p: LaurentPoly) -> int:
     return total
 
 
-def reduce_table(table) -> tuple:
-    """A generator table (magnus.row_table) with its entries reduced mod P."""
-    copy, dense = table
-    return copy, tuple((c, tuple((k, poly_mod(g)) for k, g in live)) for c, live in dense)
-
-
 # x acts on columns, y and t on rows: each is the exact table of the pairing
 # fold (homology.x_left, homology.y_right, pairing.t_right), reduced mod P
 
 
 @lru_cache(maxsize=None)
 def x_mod(n: int, j: int, sign: int) -> tuple:
-    return reduce_table(x_left(n, j, sign))
+    return map_table(x_left(n, j, sign), poly_mod)
 
 
 @lru_cache(maxsize=None)
 def y_mod(n: int, idx: int, sign: int) -> tuple:
-    return reduce_table(y_right(n, idx, sign))
+    return map_table(y_right(n, idx, sign), poly_mod)
 
 
 @lru_cache(maxsize=None)
 def t_mod(n: int, i: int) -> tuple:
-    return reduce_table(t_right(n, i))
+    return map_table(t_right(n, i), poly_mod)
 
 
 @lru_cache(maxsize=None)

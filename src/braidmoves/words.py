@@ -22,7 +22,10 @@ Conventions, fixed once and used everywhere:
   must send x_3 to x_1.
 
 Every value carries its strand/puncture count n, and binary operations
-check it: the generator rules depend on n.
+check it: the generator rules depend on n.  Both word types share one
+implementation (the private base _Word) of the checks, free reduction and
+the group operations.  A product takes two words of one type, and a braid
+acts on free words only; a mixed operand raises TypeError.
 """
 
 from __future__ import annotations
@@ -104,48 +107,62 @@ def _parse_tokens(
 
 
 @dataclass(frozen=True)
-class FreeWord:
-    """A freely reduced word in x_1 .. x_n and their inverses."""
+class _Word:
+    """What FreeWord and BraidWord share.  A subclass names its generators
+    _NAME.format(i) for i = 1 .. n - _DROP, and its count _COUNT; a product
+    with a word of the other type is NotImplemented."""
 
     n: int
     letters: tuple[Letter, ...]
 
     def __post_init__(self):
         if self.n < 1:
-            raise WordError(f"puncture count must be >= 1, got {self.n}")
+            raise WordError(f"{self._COUNT} count must be >= 1, got {self.n}")
+        top = self.n - self._DROP
         for idx, sign in self.letters:
-            if not 1 <= idx <= self.n:
-                raise WordError(f"x{idx} out of range 1..{self.n}")
+            if not 1 <= idx <= top:
+                raise WordError(f"{self._NAME.format(idx)} out of range 1..{top}")
             if sign not in (1, -1):
                 raise WordError(f"bad sign {sign}")
         object.__setattr__(self, "letters", _reduce(self.letters))
 
-    @staticmethod
-    def identity(n: int) -> FreeWord:
-        return FreeWord(n, ())
+    @classmethod
+    def identity(cls, n: int):
+        return cls(n, ())
 
-    @staticmethod
-    def generator(n: int, i: int, sign: int = 1) -> FreeWord:
-        return FreeWord(n, ((i, sign),))
+    @classmethod
+    def generator(cls, n: int, i: int, sign: int = 1):
+        return cls(n, ((i, sign),))
 
-    @staticmethod
-    def parse(text: str, n: int) -> FreeWord:
-        """Parse whitespace-separated tokens "xK" / "xK^-1" / "xK^N"."""
-        return FreeWord(n, _parse_tokens(text, "x", n, "x{}", "free-word"))
-
-    def __mul__(self, other: FreeWord) -> FreeWord:
+    def __mul__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         if self.n != other.n:
-            raise WordError(f"puncture count mismatch: {self.n} vs {other.n}")
-        return _trusted(FreeWord, self.n, _join(self.letters, other.letters))
+            raise WordError(f"{self._COUNT} count mismatch: {self.n} vs {other.n}")
+        return _trusted(type(self), self.n, _join(self.letters, other.letters))
 
-    def inverse(self) -> FreeWord:
-        return FreeWord(self.n, _inverse(self.letters))
+    def inverse(self):
+        return type(self)(self.n, _inverse(self.letters))
 
     def __len__(self) -> int:
         return len(self.letters)
 
     def __iter__(self) -> Iterator[Letter]:
         return iter(self.letters)
+
+
+@dataclass(frozen=True)
+class FreeWord(_Word):
+    """A freely reduced word in x_1 .. x_n and their inverses."""
+
+    _NAME = "x{}"
+    _DROP = 0
+    _COUNT = "puncture"
+
+    @staticmethod
+    def parse(text: str, n: int) -> FreeWord:
+        """Parse whitespace-separated tokens "xK" / "xK^-1" / "xK^N"."""
+        return FreeWord(n, _parse_tokens(text, "x", n, FreeWord._NAME, "free-word"))
 
     def is_identity(self) -> bool:
         return not self.letters
@@ -164,29 +181,12 @@ class FreeWord:
 
 
 @dataclass(frozen=True)
-class BraidWord:
+class BraidWord(_Word):
     """A freely reduced word in sigma_1 .. sigma_{n-1} and their inverses."""
 
-    n: int
-    letters: tuple[Letter, ...]
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise WordError(f"strand count must be >= 1, got {self.n}")
-        for idx, sign in self.letters:
-            if not 1 <= idx <= self.n - 1:
-                raise WordError(f"sigma_{idx} out of range 1..{self.n - 1}")
-            if sign not in (1, -1):
-                raise WordError(f"bad sign {sign}")
-        object.__setattr__(self, "letters", _reduce(self.letters))
-
-    @staticmethod
-    def identity(n: int) -> BraidWord:
-        return BraidWord(n, ())
-
-    @staticmethod
-    def generator(n: int, i: int, sign: int = 1) -> BraidWord:
-        return BraidWord(n, ((i, sign),))
+    _NAME = "sigma_{}"
+    _DROP = 1
+    _COUNT = "strand"
 
     @staticmethod
     def parse(text: str, n: int) -> BraidWord:
@@ -195,25 +195,11 @@ class BraidWord:
         Accepts whitespace/comma-separated signed integers (k for sigma_k,
         -k for sigma_k^-1) or symbolic tokens "sK" / "sK^-1" / "sK^N".
         """
-        return BraidWord(n, _parse_tokens(text, "s", n - 1, "sigma_{}", "braid"))
-
-    def __mul__(self, other: BraidWord) -> BraidWord:
-        if self.n != other.n:
-            raise WordError(f"strand count mismatch: {self.n} vs {other.n}")
-        return _trusted(BraidWord, self.n, _join(self.letters, other.letters))
-
-    def inverse(self) -> BraidWord:
-        return BraidWord(self.n, _inverse(self.letters))
+        return BraidWord(n, _parse_tokens(text, "s", n - 1, BraidWord._NAME, "braid"))
 
     def __pow__(self, k: int) -> BraidWord:
         base = self if k >= 0 else self.inverse()
         return BraidWord(self.n, base.letters * abs(k))
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __iter__(self) -> Iterator[Letter]:
-        return iter(self.letters)
 
     def is_trivial_word(self) -> bool:
         """True iff the reduced word is empty (not a solution of the word problem)."""
@@ -231,6 +217,8 @@ class BraidWord:
 
     def __call__(self, w: FreeWord) -> FreeWord:
         """Apply the braid automorphism to a free word (rightmost letter first)."""
+        if not isinstance(w, FreeWord):
+            raise TypeError(f"a braid acts on a FreeWord, not on {type(w).__name__}")
         if self.n != w.n:
             raise WordError(f"strand count mismatch: {self.n} vs {w.n}")
         letters = w.letters
@@ -289,12 +277,11 @@ def act_braid_on_free(b: BraidWord, w: FreeWord) -> FreeWord:
 
 
 def y_basis_word(i: int, n: int) -> FreeWord:
-    """The second basis element y_i = x_1 ... x_{i-1} x_i^-1 x_{i-1}^-1 ... x_1^-1."""
+    """The second basis element y_i = x_1 ... x_{i-1} x_i^-1 x_{i-1}^-1 ... x_1^-1,
+    spelled by the letters of x_in_y_letters(i, 1) read as x-letters."""
     if not 1 <= i <= n:
         raise WordError(f"y{i} out of range 1..{n}")
-    pre = [(k, 1) for k in range(1, i)]
-    post = [(k, -1) for k in range(i - 1, 0, -1)]
-    return FreeWord(n, tuple(pre + [(i, -1)] + post))
+    return FreeWord(n, x_in_y_letters(i, 1))
 
 
 @lru_cache(maxsize=None)

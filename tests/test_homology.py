@@ -7,6 +7,7 @@ from _vectors import x_vector_right_mul, y_vector_act, y_vector_left_mul
 from braidmoves.homology import (
     GroupRingElement,
     HomologyClassX,
+    HomologyClassY,
     ProvenanceError,
     _y_word,
     evaluate_x,
@@ -25,7 +26,7 @@ from braidmoves.homology import (
 )
 from braidmoves.krammer import tau_plus_act
 from braidmoves.magnus import tau
-from braidmoves.words import BraidWord, FreeWord, y_basis_word
+from braidmoves.words import BraidWord, FreeWord, WordError, y_basis_word
 
 
 def gre(text, n, coeff=1):
@@ -303,3 +304,44 @@ def test_left_action_y_golden():
 def test_class_text_form():
     v = fox_x(FreeWord.parse("x2 x4 x2^-1", 4))
     assert str(v) == "e2*(-x2^-1 + x4 x2^-1) + e4*(x2^-1)"
+
+
+def test_sum_of_classes_from_the_two_modules_raises_type_error():
+    w = FreeWord.parse("x1 x2^-1 x3", 3)
+    with pytest.raises(TypeError):
+        fox_x(w) + fox_y(w)
+    with pytest.raises(TypeError):
+        fox_y(w) + fox_x(w)
+    assert fox_x(w) != fox_y(w)
+    assert (fox_x(w) + (-fox_x(w))).is_zero()
+    with pytest.raises(WordError, match="puncture count mismatch"):
+        fox_x(w) + fox_x(FreeWord.generator(4, 1))
+
+
+def test_free_word_times_group_ring_element():
+    w = FreeWord.parse("x2 x1^-1", 3)
+    g = gre("x1 x3", 3) + gre("x2^-1", 3, -2) + GroupRingElement.one(3).scale(5)
+    assert w * g == GroupRingElement.from_word(w) * g
+    assert g * w == g * GroupRingElement.from_word(w)
+    assert w * g != g * w
+
+
+def test_componentwise_products_by_int_word_and_group_ring_element():
+    rng = random.Random(1007)
+    for _ in range(20):
+        n = rng.randrange(2, 5)
+        loop = rand_free(rng, n, 8)
+        xc, yc = fox_x(loop), fox_y(loop)
+        u = rand_free(rng, n)
+        g = GroupRingElement.from_word(rand_free(rng, n), 3) - GroupRingElement.from_word(u)
+        for r, lift in ((-3, None), (u, GroupRingElement.from_word(u)), (g, g)):
+            left = yc.left_mul(r)
+            right = xc.right_mul(r)
+            assert isinstance(left, HomologyClassY) and left.loop is None
+            assert isinstance(right, HomologyClassX) and right.loop is None
+            if lift is None:
+                assert left.coeffs == tuple(c.scale(r) for c in yc.coeffs)
+                assert right.coeffs == tuple(c.scale(r) for c in xc.coeffs)
+            else:
+                assert left.coeffs == tuple(lift * c for c in yc.coeffs)
+                assert right.coeffs == tuple(c * lift for c in xc.coeffs)

@@ -4,6 +4,7 @@ import tracemalloc
 import pytest
 
 import braidmoves.krammer as K
+from _tables import reference_entries, table_entries
 from braidmoves.homology import evaluate_x, fox_x, fox_y, tau_components_x
 from braidmoves.krammer import (
     BlockMatrix,
@@ -441,6 +442,29 @@ def test_generator_tables_act_like_their_matrices():
                         sum(poly_mod(g) * x for g, x in zip(row, vec)) % P for row in rows
                     ]
                     assert apply_table(_rows_mod(n, i, sign), vec, dot_mod) == expected
+
+
+def norm_and_window(g):
+    """[sum |c|, min q, max q, min t, max t] over the terms c q^a t^e of g."""
+    terms = list(g.terms())
+    qs = [a for (a, _), _ in terms]
+    ts = [e for (_, e), _ in terms]
+    return [sum(abs(c) for _, c in terms), min(qs), max(qs), min(ts), max(ts)]
+
+
+def test_generator_tables_equal_their_entry_by_entry_reference():
+    """The exact, mod-P and bound tables of each generator against the
+    entries of its flattened block matrix, one at a time."""
+    for n in (3, 4, 5):
+        for i in range(1, n):
+            for sign in (1, -1):
+                rows = flat_rows(tau_plus_generator(n, i, sign))
+                for table, convert in (
+                    (_rows(n, i, sign), lambda g: g),
+                    (_rows_mod(n, i, sign), poly_mod),
+                    (K._rows_bound(n, i, sign), norm_and_window),
+                ):
+                    assert table_entries(table, n * (n + 1)) == reference_entries(rows, convert)
 
 
 # -- the mod-p identity screen ---------------------------------------------------------

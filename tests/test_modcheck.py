@@ -12,6 +12,7 @@ import random
 import sys
 from functools import partial
 
+from _tables import reference_entries, table_entries
 from braidmoves.detect import (
     REDUCE_POSITIVE,
     exchange_certificates,
@@ -94,6 +95,19 @@ def test_tables_act_like_their_reduced_matrices():
                 for _ in range(3):
                     vec = rand_vec(rng, n + 1)
                     assert vec * table == row_times(vec, reduced(exact))
+
+
+def test_mod_tables_equal_their_entry_by_entry_reference():
+    """Each mod-P table, entry by entry, against the reduced entries of its
+    exact matrix (the transpose for the row-side y_mod and t_mod)."""
+    for n in (3, 4, 5):
+        for k in range(1, n + 1):
+            cases = [(t_mod(n, k), zip(*t_element(n, k).entries))]
+            for s in (1, -1):
+                cases.append((x_mod(n, k, s), _tau_letter(n, "x", k, s).entries))
+                cases.append((y_mod(n, k, s), zip(*_tau_y(n, k, s).entries)))
+            for table, rows in cases:
+                assert table_entries(table, n + 1) == reference_entries(rows, poly_mod)
 
 
 def test_mod_sweeps_are_reductions_of_exact_sweeps():

@@ -246,3 +246,77 @@ def test_products_cancel_at_the_junction_like_full_reduction():
         with pytest.raises(WordError):
             w * cls.identity(5)
 
+
+# -- the two word types ------------------------------------------------------
+
+
+def message(fn):
+    with pytest.raises(WordError) as err:
+        fn()
+    return str(err.value)
+
+
+def test_constructor_errors_name_the_bad_value():
+    assert message(lambda: FreeWord(0, ())) == "puncture count must be >= 1, got 0"
+    assert message(lambda: BraidWord(0, ())) == "strand count must be >= 1, got 0"
+    assert message(lambda: FreeWord(3, ((4, 1),))) == "x4 out of range 1..3"
+    assert message(lambda: FreeWord(3, ((1, 1), (0, -1)))) == "x0 out of range 1..3"
+    assert message(lambda: BraidWord(3, ((3, 1),))) == "sigma_3 out of range 1..2"
+    assert message(lambda: BraidWord(3, ((0, -1),))) == "sigma_0 out of range 1..2"
+    assert message(lambda: BraidWord(1, ((1, 1),))) == "sigma_1 out of range 1..0"
+    assert message(lambda: FreeWord(3, ((1, 2),))) == "bad sign 2"
+    assert message(lambda: BraidWord(3, ((2, 0),))) == "bad sign 0"
+    assert FreeWord(1, ((1, -1),)).letters == ((1, -1),)
+    assert BraidWord(1, ()).letters == ()
+
+
+def test_count_mismatches_keep_their_messages():
+    u, v = FreeWord.generator(3, 1), FreeWord.generator(4, 1)
+    b, c = BraidWord.generator(3, 1), BraidWord.generator(4, 1)
+    assert message(lambda: u * v) == "puncture count mismatch: 3 vs 4"
+    assert message(lambda: b * c) == "strand count mismatch: 3 vs 4"
+    assert message(lambda: b(v)) == "strand count mismatch: 3 vs 4"
+
+
+def test_free_word_times_braid_word_raises_type_error():
+    with pytest.raises(TypeError):
+        FreeWord.parse("x1 x2", 4) * BraidWord.parse("3 1", 4)
+
+
+def test_braid_word_times_free_word_raises_type_error():
+    with pytest.raises(TypeError):
+        BraidWord.parse("3 1", 4) * FreeWord.parse("x4 x2", 4)  # no sigma_4 in B_4
+
+
+def test_braid_applied_to_a_braid_word_raises_type_error():
+    s2 = BraidWord.generator(3, 2)
+    with pytest.raises(TypeError):
+        s2(BraidWord.parse("1 2", 3))
+    with pytest.raises(TypeError):
+        s2(((1, 1), (2, 1)))
+
+
+def test_word_types_compare_by_type_and_value():
+    letters = ((1, 1), (2, -1))
+    assert FreeWord(3, letters) != BraidWord(3, letters)
+    assert not FreeWord(3, letters) == BraidWord(3, letters)
+    assert FreeWord(3, letters) != FreeWord(4, letters)
+    for cls in (FreeWord, BraidWord):
+        w = cls(3, letters)
+        same = [
+            cls(3, letters),
+            cls(3, ((1, 1), (2, 1), (2, -1), (2, -1))),
+            cls.generator(3, 1) * cls.generator(3, 2, -1),
+            w.inverse().inverse(),
+        ]
+        for v in same:
+            assert v == w and hash(v) == hash(w)
+        assert len({w, *same}) == 1
+
+
+def test_text_forms():
+    u, b = FreeWord(3, ((1, 1), (3, -1))), BraidWord(3, ((1, 1), (2, -1)))
+    assert (str(u), repr(u)) == ("x1 x3^-1", "FreeWord(3, x1 x3^-1)")
+    assert (str(b), repr(b)) == ("1 -2", "BraidWord(3, 1 -2)")
+    assert (str(FreeWord.identity(2)), repr(FreeWord.identity(2))) == ("1", "FreeWord(2, 1)")
+    assert (str(BraidWord.identity(2)), repr(BraidWord.identity(2))) == ("", "BraidWord(2, 1)")
