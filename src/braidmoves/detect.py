@@ -24,6 +24,29 @@ not found within this depth, never a proof of absence.  Every positive
 result is re-verified from scratch through a fresh pairing evaluation in
 the matrix ring before it is returned.
 
+Each candidate is screened mod P in the block representation, without
+forming beta(w), whose length can grow exponentially with |beta|.  Two
+exact identities make this possible.  The components of [beta(w)]_x are
+those of tau+(beta) [w]_x times tau(beta)^-1, so
+
+    <[v^-1]_y, [beta(w)]_x> = pairing_sum([v^-1]_y, tau+(beta) [w]_x) tau(beta)^-1,
+
+and the negative reducing pairing is conjugate to a pairing of the same
+shape for beta^-1:
+
+    tau(beta^-1) <[beta(w)^-1]_y, [w]_x> tau(beta) = <[w^-1]_y, [beta^-1(w)]_x>.
+
+tau(beta) is a unit, so each pairing vanishes exactly when its
+pairing_sum does.  A scan keeps, per class word w, the probed flat column
+X(w) (modcheck.x_column), the probed flat row Y(w^-1) with the t_i
+applied (modcheck.y_row), and X(w) pushed once through the image of beta,
+or of beta^-1, mod P (krammer._push over the tables krammer._rows_mod).
+Each test is then one flat dot: Y(w^-1) tau+(beta^+-1) X(w) for the two
+reducing tests, Y(v^-1) tau+(beta) X(w) for <v^*, beta w beta^-1>, and
+Y(v^-1) X(w) for <v^*, w>.  A nonzero dot certifies an exact nonzero; a
+candidate whose dot vanishes is decided exactly on its loop words, and
+only then is beta(w) built.
+
 A passing vanishing test reports a move on the conjugacy class; which of
 the two reducing signs fires for a given braid is decided computationally,
 by running both tests.
@@ -37,8 +60,8 @@ from functools import cached_property
 from typing import Iterator
 
 from .homology import HomologyClassX, fox_x
-from .krammer import tau_plus
-from .modcheck import loop_pairing_certainly_nonzero
+from .krammer import _push, _rows_mod, tau_plus
+from .modcheck import ModVector, dot_mod, x_column, y_row
 from .pairing import pair_loops, y_terms
 from .words import BraidWord, FreeWord, WordError
 
@@ -149,12 +172,52 @@ def enumerate_simple(n: int, depth: int) -> list[SimpleClass]:
 # -- verification ---------------------------------------------------------
 
 
-def _loop_pairing_zero(yloop: FreeWord, xloop: FreeWord, memo: dict) -> bool:
-    """Exact zero test of <[yloop]_y, [xloop]_x>, screened first; memo
-    keeps the screen's per-loop sweeps for the rest of the scan."""
-    if loop_pairing_certainly_nonzero(yloop, xloop, memo):
-        return False
-    return pair_loops(yloop, xloop).is_zero()
+class _BlockScreen:
+    """The mod-P screen of the scans of one braid b, in the block
+    representation (see the module docstring).  For each class word w it
+    keeps the flat row Y(w^-1) (modcheck.y_row), the flat column X(w)
+    (modcheck.x_column) and X(w) pushed through the image of b^sign mod P,
+    each formed on first use; no loop word of b is built for a candidate
+    that the screen clears."""
+
+    def __init__(self, b: BraidWord):
+        self.b = b
+        self._letters = {1: b.letters[::-1], -1: b.inverse().letters[::-1]}
+        self._rows: dict[FreeWord, ModVector] = {}
+        self._columns: dict[tuple[FreeWord, int], ModVector] = {}
+
+    def _row(self, v: FreeWord) -> ModVector:
+        if v not in self._rows:
+            self._rows[v] = y_row(v.inverse())
+        return self._rows[v]
+
+    def _column(self, w: FreeWord, sign: int) -> ModVector:
+        key = (w, sign)
+        if key not in self._columns:
+            if sign:
+                col = [self._column(w, 0)]
+                col = ModVector(_push(self.b.n, self._letters[sign], col, _rows_mod, dot_mod)[0])
+            else:
+                col = x_column(w)
+            self._columns[key] = col
+        return self._columns[key]
+
+    def value(self, v: FreeWord, w: FreeWord, sign: int) -> int:
+        """Y(v^-1) . tau+(b^sign) X(w) mod P, with no push for sign 0.  A
+        nonzero value certifies that the pairing zero() decides is exactly
+        nonzero."""
+        return self._row(v) * self._column(w, sign)
+
+    def zero(self, v: FreeWord, w: FreeWord, sign: int) -> bool:
+        """Exact zero test of <[v^-1]_y, [b^sign(w)]_x> for sign 0 or 1, or,
+        for sign -1 (v = w), of the negative reducing pairing
+        <[b(w)^-1]_y, [w]_x>: screened by value(), then decided on the loop
+        words, and b(w) is built only then."""
+        if self.value(v, w, sign):
+            return False
+        if sign < 0:
+            return pair_loops(self.b(w).inverse(), w).is_zero()
+        return pair_loops(v.inverse(), self.b(w) if sign else w).is_zero()
 
 
 def _verified_zero(yloop: FreeWord, xloop: FreeWord, yterms=None) -> bool:
@@ -195,13 +258,12 @@ def reducing_certificates(b: BraidWord, depth: int) -> Iterator[DetectionResult]
     tested first, then the negative-type one.  Every yielded certificate
     has been re-verified from scratch.
     """
-    memo: dict = {}
+    screen = _BlockScreen(b)
     for sc in enumerate_simple(b.n, depth):
         w = sc.word
-        bw = b(w)
-        if _loop_pairing_zero(w.inverse(), bw, memo):
+        if screen.zero(w, w, 1):
             kind = REDUCE_POSITIVE
-        elif _loop_pairing_zero(bw.inverse(), w, memo):
+        elif screen.zero(w, w, -1):
             kind = REDUCE_NEGATIVE
         else:
             continue
@@ -239,14 +301,14 @@ def exchange_certificates(b: BraidWord, depth: int) -> Iterator[DetectionResult]
     xn = FreeWord.generator(n, n)
     seen: set[tuple[FreeWord, FreeWord]] = set()
     yielded: set[tuple[FreeWord, FreeWord]] = set()
-    memo: dict = {}
+    screen = _BlockScreen(b)
 
     for psi in braid_words(n, depth):
         vw, ww = psi(xn1), psi(xn)
         if (vw, ww) in seen:
             continue
         seen.add((vw, ww))
-        if not _loop_pairing_zero(vw.inverse(), b(ww), memo):
+        if not screen.zero(vw, ww, 1):
             continue
         v = SimpleClass(vw, psi, n - 1)
         w = SimpleClass(ww, psi, n)
@@ -265,9 +327,9 @@ def exchange_certificates(b: BraidWord, depth: int) -> Iterator[DetectionResult]
         for w in classes:
             if (v.word, w.word) in yielded:
                 continue
-            if not _loop_pairing_zero(v.word.inverse(), w.word, memo):
+            if not screen.zero(v.word, w.word, 0):
                 continue
-            if not _loop_pairing_zero(v.word.inverse(), b(w.word), memo):
+            if not screen.zero(v.word, w.word, 1):
                 continue
             _reverify_exchange(b, v, w)
             yield DetectionResult(

@@ -15,8 +15,11 @@ implies the exact value is nonzero.  A nonzero S that the probe misses
 only goes on to the exact decision.  Since S = sum_i C_i T_i M_i, the
 scalar is sum_i (u^T C_i) T_i (M_i v), and the vectors u^T C_i and M_i v
 come from the Fox sweeps of the homology module run over flat probe
-vectors (ModVector) instead of the identity matrix; the pairing module's
-sum adds the terms.  Every generator image acts on those vectors through
+vectors (ModVector) instead of the identity matrix.  y_row stacks the
+rows u^T C_i T_i and x_column the columns M_i v into flat vectors of
+length n(n+1), so the scalar is one flat dot of the two; detection pushes
+the column through the block image of a braid before the dot (see the
+detect module).  Every generator image acts on those vectors through
 the one sparse table format of the block representation
 (magnus.row_table, magnus.apply_table), reduced mod P: x_mod acts on
 columns, and y_mod and t_mod, which act on rows, are built from the
@@ -25,11 +28,6 @@ transposed images.  All three are the exact tables of the pairing fold
 applied to each entry by magnus.map_table, so each table has one
 builder.  Each vector update costs at most O(n^2), not the O(n^3) of a
 matrix product.
-
-The y-side vectors depend only on the y-loop and the x-side vectors only
-on the x-loop.  A detection scan passes one dict as memo to every screen
-it runs, so each loop is swept once per scan; the dict lives as long as
-the scan, and every scan starts cold.
 
 The word problem uses the same points, probes and reduction (probe_vectors,
 poly_mod, dot_mod): krammer.is_identity pushes a probe column of
@@ -41,12 +39,13 @@ braid is nontrivial before any exact product is formed.
 from __future__ import annotations
 
 from functools import lru_cache, partial
+from itertools import chain
 from operator import mul
 
 from .homology import sweep_x, sweep_y, x_left, y_right
 from .laurent import LaurentPoly
 from .magnus import apply_table, map_table
-from .pairing import pairing_sum, t_right
+from .pairing import t_right
 from .words import FreeWord
 
 P = (1 << 61) - 1
@@ -127,18 +126,32 @@ class ModVector(list):
         return not any(self)
 
 
-def _screen(yloop: FreeWord, xloop: FreeWord, memo: dict | None = None) -> bool:
-    """u^T S v != 0 for the image S of <[yloop]_y, [xloop]_x> mod P."""
-    n = yloop.n
-    u, v = probe_vectors(n + 1)
+def x_column(xloop: FreeWord) -> ModVector:
+    """The flat column X of [xloop]_x: block i is M_i v, for the components
+    M_i of the class and the probe column v, n(n+1) entries in all."""
+    n = xloop.n
     zero = ModVector([0] * (n + 1))
-    memo = {} if memo is None else memo
-    ykey, xkey = ("y", yloop), ("x", xloop)
-    if ykey not in memo:
-        memo[ykey] = sweep_y(yloop, ModVector(u), zero, partial(y_mod, n))
-    if xkey not in memo:
-        memo[xkey] = sweep_x(xloop, ModVector(v), zero, partial(x_mod, n))
-    return pairing_sum(memo[ykey], memo[xkey], partial(t_mod, n), 0) % P != 0
+    comps = sweep_x(xloop, ModVector(probe_vectors(n + 1)[1]), zero, partial(x_mod, n))
+    return ModVector(chain.from_iterable(comps))
+
+
+def y_row(yloop: FreeWord) -> ModVector:
+    """The flat row Y of [yloop]_y with t_i applied: block i is u^T C_i t_i,
+    for the components C_i of the class and the probe row u, so that Y X is
+    u^T S v for the value S of <[yloop]_y, [xloop]_x> and X = x_column(xloop)."""
+    n = yloop.n
+    zero = ModVector([0] * (n + 1))
+    comps = sweep_y(yloop, ModVector(probe_vectors(n + 1)[0]), zero, partial(y_mod, n))
+    return ModVector(
+        chain.from_iterable(
+            c if c.is_zero() else c * t_mod(n, i) for i, c in enumerate(comps, start=1)
+        )
+    )
+
+
+def _screen(yloop: FreeWord, xloop: FreeWord) -> bool:
+    """u^T S v != 0 for the image S of <[yloop]_y, [xloop]_x> mod P."""
+    return y_row(yloop) * x_column(xloop) != 0
 
 
 def pairing_certainly_nonzero(yc, xc) -> bool:
@@ -151,12 +164,6 @@ def pairing_certainly_nonzero(yc, xc) -> bool:
     return _screen(yc.loop, xc.loop)
 
 
-def loop_pairing_certainly_nonzero(
-    yloop: FreeWord, xloop: FreeWord, memo: dict | None = None
-) -> bool:
-    """Screen <[yloop]_y, [xloop]_x> without building the classes at all.
-
-    memo, when given, keeps the probed sweep of each loop for later calls
-    with the same dict; the answer does not depend on it.
-    """
-    return _screen(yloop, xloop, memo)
+def loop_pairing_certainly_nonzero(yloop: FreeWord, xloop: FreeWord) -> bool:
+    """Screen <[yloop]_y, [xloop]_x> without building the classes at all."""
+    return _screen(yloop, xloop)

@@ -157,9 +157,10 @@ class PairingValue:
 
 def pairing_sum(ymats, xmats, t, zero):
     """sum_i c_i t(i) m_i over the components c_i, m_i of two classes, in
-    any ring whose elements have is_zero(): ZF_n, the Magnus matrices, or
-    probe vectors mod p, where each term is a scalar.  t(i) is the image
-    of t_i, zero the zero of the sum."""
+    any ring whose elements have is_zero(): ZF_n or the Magnus matrices
+    (the mod-p screen takes the same sum on probe vectors as one flat dot,
+    modcheck.y_row times modcheck.x_column).  t(i) is the image of t_i,
+    zero the zero of the sum."""
     acc = zero
     for i, (c, m) in enumerate(zip(ymats, xmats), start=1):
         if c.is_zero() or m.is_zero():

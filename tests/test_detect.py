@@ -1,9 +1,11 @@
+import json
 import random
 import tracemalloc
 
 import pytest
 
 import braidmoves.detect as D
+from braidmoves.cli import EXIT_NOT_FOUND, main
 from braidmoves.detect import (
     EXCHANGE,
     MAX_ENUM_WORDS,
@@ -24,7 +26,8 @@ from braidmoves.detect import (
 from braidmoves.homology import fox_x, fox_y, star_x_to_y
 from braidmoves.krammer import entry, is_identity
 from braidmoves.magnus import MagnusElement, tau
-from braidmoves.pairing import pair
+from braidmoves.modcheck import x_column, y_row
+from braidmoves.pairing import pair, pair_loops
 from braidmoves.words import BraidWord, FreeWord, WordError
 
 BETA2 = BraidWord.parse("-2 -2 -1 -2 -3 2 2 2 1 2 3", 4)
@@ -246,8 +249,9 @@ def test_beta1_finds_expected_second_pair():
 
 
 def test_reverification_rejects_false_positives(monkeypatch):
-    # a zero test that accepts every candidate: the from-scratch evaluation
-    # must stop both scans before they yield a non-certificate.  The first
+    # a zero test (_BlockScreen.zero, the screen and the exact decision) that
+    # accepts every candidate: the from-scratch evaluation must stop both
+    # scans before they yield a non-certificate.  The first
     # reducing candidate of the identity braid is x1, and <[x1^-1]_y, [x1]_x>
     # = t_1; the first exchange pair of sigma_3 is (x3, x4) with
     # sigma_3(x4) = x4^-1 x3 x4, and <[x3^-1]_y, [x4^-1 x3 x4]_x> != 0
@@ -255,11 +259,127 @@ def test_reverification_rejects_false_positives(monkeypatch):
     x3, x4 = FreeWord.generator(4, 3), FreeWord.generator(4, 4)
     assert not D._verified_zero(FreeWord.generator(4, 1, -1), FreeWord.generator(4, 1))
     assert not D._verified_zero(x3.inverse(), b_exchange(x4))
-    monkeypatch.setattr(D, "_loop_pairing_zero", lambda yloop, xloop, memo: True)
+    monkeypatch.setattr(D._BlockScreen, "zero", lambda screen, v, w, sign: True)
     with pytest.raises(InvariantViolation):
         next(reducing_certificates(b_reduce, 1))
     with pytest.raises(InvariantViolation):
         next(exchange_certificates(b_exchange, 1))
+
+
+# -- the block screen against the loop-word route -------------------------------
+
+
+class LoopWordRoute:
+    """The scans of one braid b on loop words: b(w) for every candidate, and
+    each pairing screened by the loop-word screen of modcheck (the probed
+    value of its sweeps, pinned against the exact value in test_modcheck),
+    then decided exactly on the loops.  The images, sweeps and decisions
+    are kept for the scans that follow, at any depth."""
+
+    def __init__(self, b):
+        self.b = b
+        self.images, self.rows, self.columns, self.decided = {}, {}, {}, {}
+
+    def image(self, w):
+        if w not in self.images:
+            self.images[w] = self.b(w)
+        return self.images[w]
+
+    def zero(self, yloop, xloop):
+        if (yloop, xloop) not in self.decided:
+            if yloop not in self.rows:
+                self.rows[yloop] = y_row(yloop)
+            if xloop not in self.columns:
+                self.columns[xloop] = x_column(xloop)
+            self.decided[yloop, xloop] = (
+                self.rows[yloop] * self.columns[xloop] == 0 and pair_loops(yloop, xloop).is_zero()
+            )
+        return self.decided[yloop, xloop]
+
+    def reducing(self, depth):
+        out = []
+        for sc in enumerate_simple(self.b.n, depth):
+            w, bw = sc.word, self.image(sc.word)
+            if self.zero(w.inverse(), bw):
+                out.append((REDUCE_POSITIVE, (sc,), None))
+            elif self.zero(bw.inverse(), w):
+                out.append((REDUCE_NEGATIVE, (sc,), None))
+        return out
+
+    def exchange(self, depth):
+        """Joint pairs, then pairs of classes."""
+        n = self.b.n
+        xn1, xn = FreeWord.generator(n, n - 1), FreeWord.generator(n, n)
+        out, seen = [], set()
+        for psi in braid_words(n, depth):
+            vw, ww = psi(xn1), psi(xn)
+            if (vw, ww) not in seen:
+                seen.add((vw, ww))
+                if self.zero(vw.inverse(), self.image(ww)):
+                    pair = (D.SimpleClass(vw, psi, n - 1), D.SimpleClass(ww, psi, n))
+                    out.append((EXCHANGE, pair, psi))
+        yielded = {(v.word, w.word) for _, (v, w), _ in out}
+        classes = enumerate_simple(n, depth)
+        for v in classes:
+            for w in classes:
+                if (v.word, w.word) in yielded:
+                    continue
+                vstar = v.word.inverse()
+                if self.zero(vstar, w.word) and self.zero(vstar, self.image(w.word)):
+                    out.append((EXCHANGE, (v, w), None))
+        return out
+
+
+def records(certs):
+    """Kind, witness words, witness braids and joint witness, in order."""
+    return [
+        (kind, [str(sc.word) for sc in scs], [str(sc.witness) for sc in scs], str(joint))
+        for kind, scs, joint in certs
+    ]
+
+
+def test_block_screen_certificates_equal_the_loop_word_route():
+    rng = random.Random(33)
+    cases = [(b, 3) for b in (MORTON, BETA1, BETA2)]
+    for n, depth in ((3, 3), (4, 2), (5, 1)):
+        cases += [(rand_braid(rng, n, 8), depth) for _ in range(5)]
+    total = 0
+    for b, max_depth in cases:
+        route = LoopWordRoute(b)
+        for depth in range(max_depth + 1):
+            scans = [(reducing_certificates, route.reducing)]
+            if b.n >= 3:
+                scans.append((exchange_certificates, route.exchange))
+            for scan, reference in scans:
+                got = records((r.kind, r.witnesses, r.joint_witness) for r in scan(b, depth))
+                assert got == records(reference(depth)), (str(b), depth, scan.__name__)
+                total += len(got)
+    assert total > 500
+
+
+def test_long_braid_builds_no_loop_word_for_cleared_candidates(capsys, monkeypatch):
+    """(sigma_1 sigma_2^-1)^14 stretches a loop of length m to thousands of
+    letters; the block screen clears every candidate without acting on one."""
+    text = " ".join(["1 -2"] * 14)
+    acted = []
+    call = BraidWord.__call__
+
+    def recording(self, w):
+        acted.append(self)
+        return call(self, w)
+
+    monkeypatch.setattr(BraidWord, "__call__", recording)
+    tracemalloc.start()
+    try:
+        for args in (("detect-reduce", "--depth", "0"), ("detect-exchange", "--depth", "1")):
+            code = main([args[0], "-n", "3", *args[1:], "--format", "json", text])
+            assert code == EXIT_NOT_FOUND
+            assert json.loads(capsys.readouterr().out)["found"] is False
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert acted and all(len(b) <= 1 for b in acted)
+    assert peak < 4_000_000
 
 
 # -- the rewrite --------------------------------------------------------------------

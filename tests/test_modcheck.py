@@ -5,16 +5,21 @@ evaluation, over the reductions of the generator tables and flat probe
 vectors; each table must act like the reduction of its exact matrix, the
 vector sweeps must agree with the reduction of the exact sweeps, the probe
 must agree with the full image of the exact value, and a nonzero answer
-must mean an exact nonzero.
+must mean an exact nonzero.  The block screen of detection must give the
+probed value of the exact pairing times tau(b), and the verdicts of the
+loop-word screen.
 """
 
 import random
 import sys
+from collections import Counter
 from functools import partial
 
 from _tables import reference_entries, table_entries
 from braidmoves.detect import (
     REDUCE_POSITIVE,
+    _BlockScreen,
+    enumerate_simple,
     exchange_certificates,
     reducing_certificates,
 )
@@ -27,18 +32,19 @@ from braidmoves.homology import (
     tau_components_x,
     tau_components_y,
 )
-from braidmoves.magnus import _tau_letter
+from braidmoves.magnus import _tau_letter, tau
 from braidmoves.modcheck import (
     P,
     ModVector,
     loop_pairing_certainly_nonzero,
     pairing_certainly_nonzero,
     poly_mod,
+    probe_vectors,
     t_mod,
     x_mod,
     y_mod,
 )
-from braidmoves.pairing import pair, t_element
+from braidmoves.pairing import PairingValue, evaluate_loops, pair, t_element
 from braidmoves.words import BraidWord, FreeWord, y_basis_word
 
 BETA2 = BraidWord.parse("-2 -2 -1 -2 -3 2 2 2 1 2 3", 4)
@@ -178,20 +184,51 @@ def test_classes_without_loops_go_to_the_exact_decision():
 
 
 def test_detection_screens_each_candidate_once(monkeypatch):
-    import braidmoves.modcheck as MC
+    """A scan sweeps each class once per side and pushes its column once
+    per sign of b; each survivor of the screen is screened once and goes on
+    to one exact decision, and nothing else does.  A reducing scan screens
+    each test once; an exchange scan screens a joint pair that strategy (i)
+    did not yield again in strategy (ii), a dot of two kept vectors."""
+    import braidmoves.detect as D
 
-    screened = []
-    original = MC._screen
+    calls, exact = Counter(), []
 
-    def counting(yloop, xloop, *rest):
-        screened.append((yloop, xloop))
-        return original(yloop, xloop, *rest)
+    def counting(fn, key):
+        def wrapped(*args):
+            result = fn(*args)
+            calls[key(*args, result)] += 1
+            return result
 
-    monkeypatch.setattr(MC, "_screen", counting)
-    certs = list(reducing_certificates(BETA2, 0))
-    assert len(certs) == 3
-    # the three survivors went on to the exact decision without a repeat screen
-    assert screened and len(screened) == len(set(screened))
+        return wrapped
+
+    def deciding(value):
+        exact.append(value._loops)
+        return is_zero(value)
+
+    is_zero = PairingValue.is_zero
+    monkeypatch.setattr(PairingValue, "is_zero", deciding)
+    monkeypatch.setattr(D, "x_column", counting(D.x_column, lambda w, _: ("x", w)))
+    monkeypatch.setattr(D, "y_row", counting(D.y_row, lambda w, _: ("y", w)))
+    monkeypatch.setattr(
+        D, "_push", counting(D._push, lambda n, letters, vecs, *_: ("push", tuple(letters), tuple(vecs[0])))
+    )
+    monkeypatch.setattr(
+        D._BlockScreen,
+        "value",
+        counting(D._BlockScreen.value, lambda s, v, w, sign, out: ("screen", v, w, sign, out != 0)),
+    )
+    for scan, depth in ((reducing_certificates, 0), (reducing_certificates, 1), (exchange_certificates, 1)):
+        calls.clear()
+        exact.clear()
+        assert list(scan(BETA2, depth))
+        kinds = Counter(key[0] for key in calls)
+        assert kinds["push"] and kinds["x"] and kinds["y"]
+        survivors = [key for key in calls if key[0] == "screen" and not key[-1]]
+        assert 0 < len(survivors) == len(exact) < kinds["screen"]
+        once = [count for key, count in calls.items() if key[0] != "screen" or not key[-1]]
+        assert set(once) == {1}
+        if scan is reducing_certificates:
+            assert set(calls.values()) == {1}
 
 
 def matrix_verdict(y: FreeWord, x: FreeWord) -> bool:
@@ -224,24 +261,134 @@ def test_probe_verdict_equals_full_matrix_verdict():
     assert verdicts == {True, False}
 
 
-def test_shared_memo_verdicts_equal_one_shot_verdicts():
+# -- the block screen of detection -------------------------------------------
+
+
+def simple_loop(rng, n, max_len):
+    """psi(x_k) for a random braid psi of at most max_len letters."""
+    return rand_braid(rng, n, max_len)(FreeWord.generator(n, rng.randrange(1, n + 1)))
+
+
+def block_tests(b, v, w):
+    """(sign, y-loop, x-loop) of the three tests that _BlockScreen(b) screens
+    for the classes v, w, each with the loops its exact decision pairs:
+    exchange condition 1, then the pairing with b(w) (positive reducing
+    for v = w), then the negative reducing pairing of w."""
+    return (
+        (0, v, w, v.inverse(), w),
+        (1, v, w, v.inverse(), b(w)),
+        (-1, w, w, b(w).inverse(), w),
+    )
+
+
+def probed(m, n):
+    """u^T m v mod P for the probe row u and column v of the screen."""
+    u, v = probe_vectors(n + 1)
+    return sum(ui * x for ui, x in zip(u, times_column(reduced(m), v))) % P
+
+
+def test_negative_reducing_pairing_is_conjugate_to_a_pushed_one():
+    """tau(b^-1) <[b(w)^-1]_y, [w]_x> tau(b) = <[w^-1]_y, [b^-1(w)]_x>
+    exactly, the identity that lets the negative reducing test be screened
+    through the push of b^-1."""
+    rng = random.Random(1105)
+    zeros = 0
+    for _ in range(60):
+        n = rng.randrange(3, 6)
+        b, w = rand_braid(rng, n, 6), simple_loop(rng, n, 3)
+        right = evaluate_loops(w.inverse(), b.inverse()(w))
+        assert tau(b.inverse()) * evaluate_loops(b(w).inverse(), w) * tau(b) == right
+        zeros += right.is_zero()
+    assert 0 < zeros < 60
+
+
+def test_block_screen_value_is_the_probed_exact_value():
+    """Y(v^-1) . tau+(b^sign) X(w) is u^T M v mod P for the exact M:
+    <[v^-1]_y, [w]_x> for sign 0, <[v^-1]_y, [b(w)]_x> tau(b) for sign 1,
+    and <[w^-1]_y, [b^-1(w)]_x> tau(b^-1) for sign -1."""
+    rng = random.Random(1106)
+    for _ in range(30):
+        n = rng.randrange(3, 6)
+        b = rand_braid(rng, n, 6)
+        v, w = simple_loop(rng, n, 3), simple_loop(rng, n, 3)
+        screen = _BlockScreen(b)
+        binv = b.inverse()
+        assert screen.value(v, w, 0) == probed(evaluate_loops(v.inverse(), w), n)
+        assert screen.value(v, w, 1) == probed(evaluate_loops(v.inverse(), b(w)) * tau(b), n)
+        assert screen.value(w, w, -1) == probed(
+            evaluate_loops(w.inverse(), binv(w)) * tau(binv), n
+        )
+
+
+def test_block_screen_never_clears_a_known_zero():
+    """<[psi(x_i)^-1]_y, [psi(x_j)]_x> = 0 for i < j, so neither that test
+    nor the one of b(psi(x_i)) against b(psi(x_j)) is cleared; nor is any
+    depth-0 reducing certificate of BETA2 or of its inverse, of both kinds."""
+    rng = random.Random(1107)
+    for n in (3, 4, 5):
+        for _ in range(4):
+            psi, b = rand_braid(rng, n, 4), rand_braid(rng, n, 4)
+            screen = _BlockScreen(b)
+            for i in range(1, n + 1):
+                for j in range(i + 1, n + 1):
+                    v, w = psi(FreeWord.generator(n, i)), psi(FreeWord.generator(n, j))
+                    assert not screen.value(v, w, 0)
+                    assert not screen.value(b(v), w, 1)
+    kinds = set()
+    for b in (BETA2, BETA2.inverse()):
+        screen = _BlockScreen(b)
+        certs = list(reducing_certificates(b, 0))
+        assert len(certs) == 3
+        for cert in certs:
+            w = cert.witnesses[0].word
+            assert not screen.value(w, w, 1 if cert.kind == REDUCE_POSITIVE else -1)
+            kinds.add(cert.kind)
+    assert len(kinds) == 2
+
+
+def test_block_verdict_equals_full_matrix_verdict():
+    """Every block-screen nonzero is an exact nonzero, and the probe misses
+    no nonzero of the sample: the verdict is that of the full image of the
+    exact value of the loops the scan would decide."""
+    rng = random.Random(1108)
+    verdicts = set()
+    for _ in range(40):
+        n = rng.randrange(3, 6)
+        psi, b = rand_braid(rng, n, 4), rand_braid(rng, n, 5)
+        if rng.random() < 0.5:
+            # known zeros of the first two tests
+            i, j = sorted(rng.sample(range(1, n + 1), 2))
+            v, w = psi(FreeWord.generator(n, i)), psi(FreeWord.generator(n, j))
+            v = b(v) if rng.random() < 0.5 else v
+        else:
+            v, w = simple_loop(rng, n, 4), simple_loop(rng, n, 4)
+        screen = _BlockScreen(b)
+        for sign, yc, xc, yloop, xloop in block_tests(b, v, w):
+            verdict = screen.value(yc, xc, sign) != 0
+            assert verdict == matrix_verdict(yloop, xloop), (str(b), str(yc), str(xc), sign)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_block_screen_verdicts_equal_loop_screen_verdicts():
+    """The screen of a scan keeps the vectors of each class for every test
+    that uses it; its verdicts equal the one-shot loop-word screen's on the
+    loops each test decides, and each class is swept once per side."""
     rng = random.Random(1104)
     n = 4
-    loops = [rand_loop(rng, n) for _ in range(12)]
-    loops += [rand_braid(rng, n, 4)(FreeWord.generator(n, k)) for k in range(1, n + 1)]
-    # some loops serve as a y-loop in one pair and an x-loop in another
-    loops += [w.inverse() for w in loops[:4]]
-    pairs = [(y.inverse(), x) for y in loops for x in loops]
-    rng.shuffle(pairs)
-    memo: dict = {}
+    classes = [sc.word for sc in enumerate_simple(n, 1)]
     verdicts = set()
-    for y, x in pairs:
-        verdict = loop_pairing_certainly_nonzero(y, x, memo)
-        assert verdict == loop_pairing_certainly_nonzero(y, x), (str(y), str(x))
-        verdicts.add(verdict)
+    for b in (rand_braid(rng, n, 6), BETA2):
+        screen = _BlockScreen(b)
+        for v in classes:
+            for w in classes:
+                for sign, yc, xc, yloop, xloop in block_tests(b, v, w):
+                    verdict = screen.value(yc, xc, sign) != 0
+                    assert verdict == loop_pairing_certainly_nonzero(yloop, xloop)
+                    verdicts.add(verdict)
+        assert len(screen._rows) == len(classes)
+        assert len(screen._columns) == 3 * len(classes)
     assert verdicts == {True, False}
-    # one sweep per distinct loop and side
-    assert len(memo) == len({y for y, _ in pairs}) + len({x for _, x in pairs})
 
 
 def _cache_misses() -> int:
