@@ -2,8 +2,9 @@
 
 A *simple class* is the x-based homology class of an embedded loop around
 a single puncture; every such loop is the image of some generator x_k
-under a braid automorphism, so bounded enumeration of simple classes is
-enumeration of act(beta, x_k) over short braid words beta.
+under a braid automorphism, so bounded enumeration of simple classes is a
+walk of the orbit of the x_k under short braid words beta, level by level
+in |beta| (_orbit); the joint pairs of exchange moves are walked alike.
 
 For a braid beta (acting as an automorphism, rightmost letter first):
 
@@ -56,10 +57,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator
 
-from .homology import HomologyClassX, fox_x
 from .krammer import _push, _rows_mod, tau_plus
 from .modcheck import ModVector, dot_mod, x_column, y_row
 from .pairing import pair_loops, y_terms
@@ -82,11 +81,6 @@ class SimpleClass:
     word: FreeWord
     witness: BraidWord
     generator_index: int
-
-    @cached_property
-    def xclass(self) -> HomologyClassX:
-        """[word]_x, computed on first use."""
-        return fox_x(self.word)
 
     @property
     def n(self) -> int:
@@ -143,8 +137,9 @@ def braid_words(n: int, depth: int) -> Iterator[BraidWord]:
 
     The letter order is sigma_1, sigma_1^-1, sigma_2, sigma_2^-1, ...
     Raw letter tuples are normalized, so reducible words repeat earlier
-    entries; callers deduplicate by whatever they compute from the braid.
-    The depth is checked (check_depth) before the first word.
+    entries.  This is the raw walk whose first occurrences _orbit yields
+    in the same order; detection does not call it.  The depth is checked
+    (check_depth) before the first word.
     """
     check_depth(n, depth)
     alphabet = [(i, s) for i in range(1, n) for s in (1, -1)]
@@ -154,19 +149,37 @@ def braid_words(n: int, depth: int) -> Iterator[BraidWord]:
             yield BraidWord(n, letters)
 
 
-def enumerate_simple(n: int, depth: int) -> list[SimpleClass]:
-    """Deduplicated act(beta, x_k) over all |beta| <= depth, deterministic.
+def _orbit(n: int, starts: list[tuple[FreeWord, ...]], depth: int) -> Iterator[tuple]:
+    """(state, witness, root) for each distinct tuple of free words
+    g(starts[root]) with |g| <= depth, in the order of its first occurrence
+    in the raw walk (braid_words outside, the distinct starts inside), with
+    the lex-first shortest witness g.  Level by level: each level applies
+    sigma_1, sigma_1^-1, sigma_2, ... (letter outside) to the states of the
+    level before, in their order, and keeps each state's first arrival."""
+    check_depth(n, depth)
+    gens = [BraidWord.generator(n, i, s) for i in range(1, n) for s in (1, -1)]
+    level = [(state, BraidWord.identity(n), root) for root, state in enumerate(starts)]
+    seen = {state for state, _, _ in level}
+    # B_1 has no letters: the starts are its orbit at every depth
+    for _ in range(depth if gens else 0):
+        yield from level
+        children = []
+        for g in gens:
+            for state, witness, root in level:
+                child = tuple(g(word) for word in state)
+                if child not in seen:
+                    seen.add(child)
+                    children.append((child, g * witness, root))
+        level = children
+    yield from level
 
-    Each class keeps the first braid that produced it, which by the
-    enumeration order is a shortest witness (lex tie-break).
-    """
-    seen: dict[FreeWord, SimpleClass] = {}
-    for beta in braid_words(n, depth):
-        for k in range(1, n + 1):
-            word = beta(FreeWord.generator(n, k))
-            if word not in seen:
-                seen[word] = SimpleClass(word, beta, k)
-    return list(seen.values())
+
+def enumerate_simple(n: int, depth: int) -> list[SimpleClass]:
+    """The distinct act(beta, x_k) over all |beta| <= depth: the orbit of
+    the states (x_k,), in raw-walk order (beta, then k), each class with
+    the first braid that produced it, a shortest witness (lex tie-break)."""
+    starts = [(FreeWord.generator(n, k),) for k in range(1, n + 1)]
+    return [SimpleClass(word, beta, root + 1) for (word,), beta, root in _orbit(n, starts, depth)]
 
 
 # -- verification ---------------------------------------------------------
@@ -286,34 +299,28 @@ def detect_reducing(b: BraidWord, depth: int) -> DetectionResult:
 def exchange_certificates(b: BraidWord, depth: int) -> Iterator[DetectionResult]:
     """All exchange-move certificates at this depth, in deterministic order.
 
-    Strategy (i) scans joint pairs (psi(x_{n-1}), psi(x_n)) over braid
-    words psi of length <= depth; such pairs satisfy the first vanishing
-    condition automatically and make the move directly rewritable.
-    Strategy (ii) then scans independent pairs of enumerated simple
-    classes, filtering by the first condition.  Pairs already yielded by
-    strategy (i) are not repeated.
+    Strategy (i) scans joint pairs (psi(x_{n-1}), psi(x_n)), the orbit of
+    (x_{n-1}, x_n) under braid words psi of length <= depth; such pairs
+    satisfy the first vanishing condition automatically and make the move
+    directly rewritable.  Strategy (ii) then scans the other pairs of
+    enumerated simple classes, filtering by the first condition; (i) has
+    decided the second condition of every joint pair.
     """
     n = b.n
     if n < 3:
         raise WordError("exchange moves need n >= 3")
 
-    xn1 = FreeWord.generator(n, n - 1)
-    xn = FreeWord.generator(n, n)
-    seen: set[tuple[FreeWord, FreeWord]] = set()
-    yielded: set[tuple[FreeWord, FreeWord]] = set()
+    start = (FreeWord.generator(n, n - 1), FreeWord.generator(n, n))
+    joint: set[tuple[FreeWord, FreeWord]] = set()
     screen = _BlockScreen(b)
 
-    for psi in braid_words(n, depth):
-        vw, ww = psi(xn1), psi(xn)
-        if (vw, ww) in seen:
-            continue
-        seen.add((vw, ww))
+    for (vw, ww), psi, _ in _orbit(n, [start], depth):
+        joint.add((vw, ww))
         if not screen.zero(vw, ww, 1):
             continue
         v = SimpleClass(vw, psi, n - 1)
         w = SimpleClass(ww, psi, n)
         _reverify_exchange(b, v, w)
-        yielded.add((vw, ww))
         yield DetectionResult(
             found=True,
             depth_searched=depth,
@@ -325,7 +332,7 @@ def exchange_certificates(b: BraidWord, depth: int) -> Iterator[DetectionResult]
     classes = enumerate_simple(n, depth)
     for v in classes:
         for w in classes:
-            if (v.word, w.word) in yielded:
+            if (v.word, w.word) in joint:
                 continue
             if not screen.zero(v.word, w.word, 0):
                 continue
@@ -366,8 +373,10 @@ def find_joint_braid(v_word: FreeWord, w_word: FreeWord, depth: int) -> BraidWor
     Works by bidirectional breadth-first search on the orbit of the pair
     (x_{n-1}, x_n): prepending a generator g to psi maps the state pair
     (A, B) to (g(A), g(B)), so half the depth is searched from each end
-    and the words are spliced at a meeting state.  Deterministic: fixed
-    letter order, first meeting state in scan order wins.
+    and the words are spliced at a meeting state.  Deterministic: the
+    first meeting state in scan order wins, so the scan stays state-major
+    (each state with every letter in turn), unlike _orbit's letter-major
+    levels: another order returns another psi, and another rewrite.
     """
     n = v_word.n
     if w_word.n != n:

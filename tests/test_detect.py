@@ -74,7 +74,8 @@ def test_enumerate_words_are_single_puncture_conjugates():
 def test_enumerate_necessary_condition():
     # every enumerated class satisfies <v*, v> = tau(word) - 1
     for sc in enumerate_simple(3, 1):
-        value = pair(star_x_to_y(sc.xclass), sc.xclass)
+        xclass = fox_x(sc.word)
+        value = pair(star_x_to_y(xclass), xclass)
         assert value.evaluated == tau(sc.word) - MagnusElement.identity(4)
 
 
@@ -83,6 +84,56 @@ def test_enumerate_shortest_witness():
     # the first (shortest) one
     classes = {str(sc.word): sc for sc in enumerate_simple(2, 3)}
     assert len(classes["x2^-1 x1 x2"].witness) == 1
+
+
+def raw_walk(n, starts, depth):
+    """(state, witness, root) at the first occurrence of each state
+    tuple(beta(w) for w in starts[root]) in the raw walk: braid_words
+    outside, the starts inside."""
+    first = {}
+    for beta in braid_words(n, depth):
+        for root, start in enumerate(starts):
+            state = tuple(beta(w) for w in start)
+            if state not in first:
+                first[state] = (state, beta, root)
+    return list(first.values())
+
+
+def raw_simple(n, depth):
+    """The simple classes of the raw walk, as enumerate_simple gives them."""
+    starts = [(FreeWord.generator(n, k),) for k in range(1, n + 1)]
+    return [D.SimpleClass(word, beta, root + 1) for (word,), beta, root in raw_walk(n, starts, depth)]
+
+
+def test_orbit_walk_equals_the_raw_walk():
+    """Classes, joint pairs, their order, witnesses and generator indices
+    are those of the first occurrences in the raw walk."""
+    for n, max_depth in ((2, 5), (3, 5), (4, 4), (5, 3), (6, 2)):
+        joint = [(FreeWord.generator(n, n - 1), FreeWord.generator(n, n))]
+        for depth in range(max_depth + 1):
+            assert enumerate_simple(n, depth) == raw_simple(n, depth), (n, depth)
+            assert list(D._orbit(n, joint, depth)) == raw_walk(n, joint, depth), (n, depth)
+
+
+def test_enumeration_acts_once_per_letter_and_class(monkeypatch):
+    """The walk acts with each letter on each class it expands, and on
+    nothing else: no raw word is walked and the last level is not
+    expanded."""
+    calls = []
+    call = BraidWord.__call__
+
+    def counting(self, w):
+        calls.append(self)
+        return call(self, w)
+
+    monkeypatch.setattr(BraidWord, "__call__", counting)
+    for n, depth in ((4, 5), (5, 4)):
+        calls.clear()
+        classes = enumerate_simple(n, depth)
+        assert len(calls) <= 2 * (n - 1) * len(classes)
+        assert all(len(b) == 1 for b in calls)
+        last = sum(len(sc.witness) == depth for sc in classes)
+        assert len(calls) == 2 * (n - 1) * (len(classes) - last)
 
 
 def test_braid_words_order():
@@ -274,7 +325,10 @@ class LoopWordRoute:
     each pairing screened by the loop-word screen of modcheck (the probed
     value of its sweeps, pinned against the exact value in test_modcheck),
     then decided exactly on the loops.  The images, sweeps and decisions
-    are kept for the scans that follow, at any depth."""
+    are kept for the scans that follow, at any depth.  Classes and joint
+    pairs come from the raw walk (raw_walk), not from the orbit walk under
+    test, and pairs of classes skip only the joint pairs that were
+    yielded."""
 
     def __init__(self, b):
         self.b = b
@@ -298,7 +352,7 @@ class LoopWordRoute:
 
     def reducing(self, depth):
         out = []
-        for sc in enumerate_simple(self.b.n, depth):
+        for sc in raw_simple(self.b.n, depth):
             w, bw = sc.word, self.image(sc.word)
             if self.zero(w.inverse(), bw):
                 out.append((REDUCE_POSITIVE, (sc,), None))
@@ -310,16 +364,13 @@ class LoopWordRoute:
         """Joint pairs, then pairs of classes."""
         n = self.b.n
         xn1, xn = FreeWord.generator(n, n - 1), FreeWord.generator(n, n)
-        out, seen = [], set()
-        for psi in braid_words(n, depth):
-            vw, ww = psi(xn1), psi(xn)
-            if (vw, ww) not in seen:
-                seen.add((vw, ww))
-                if self.zero(vw.inverse(), self.image(ww)):
-                    pair = (D.SimpleClass(vw, psi, n - 1), D.SimpleClass(ww, psi, n))
-                    out.append((EXCHANGE, pair, psi))
+        out = []
+        for (vw, ww), psi, _ in raw_walk(n, [(xn1, xn)], depth):
+            if self.zero(vw.inverse(), self.image(ww)):
+                pair = (D.SimpleClass(vw, psi, n - 1), D.SimpleClass(ww, psi, n))
+                out.append((EXCHANGE, pair, psi))
         yielded = {(v.word, w.word) for _, (v, w), _ in out}
-        classes = enumerate_simple(n, depth)
+        classes = raw_simple(n, depth)
         for v in classes:
             for w in classes:
                 if (v.word, w.word) in yielded:

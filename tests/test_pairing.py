@@ -265,7 +265,8 @@ def test_simple_condition_on_enumerated_classes():
     from braidmoves.detect import enumerate_simple
 
     for sc in enumerate_simple(3, 1):
-        value = pair(star_x_to_y(sc.xclass), sc.xclass)
+        xclass = fox_x(sc.word)
+        value = pair(star_x_to_y(xclass), xclass)
         expected = tau(sc.word) - MagnusElement.identity(4)
         assert value.evaluated == expected
 
