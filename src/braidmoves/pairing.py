@@ -26,6 +26,17 @@ acc <- Y (acc - L_i) for y_i^-1 (fold_over_y, homology.fold_y).  The
 folded loop's components are never formed; the shorter loop is the one
 swept, and the terms of one y-loop can serve several x-loops.  The result
 is the full exact (n+1) x (n+1) value.
+
+The terms R_i of a one-letter y-loop x_j^sign are constants of the
+representation.  letter_y_terms keeps them per (n, j, sign), built on
+first use by the same sweep and held as tuples, and y_terms serves them
+from there.  Most y-loops that detect's re-verifications fold over are
+such loops: v^* = [x_j^-1]_y for the simple class v = [x_j]_x.  The exact
+zero test reads the symbolic value first, so no symbolic zero reads the
+table.  Longer loops are swept: two general forms measured slower on
+them, the y-terms by the product rule over per-letter constants (2x
+slower from three letters on) and a double fold over a table of letter
+pairs (3-5x slower on loops of about a hundred letters).
 """
 
 from __future__ import annotations
@@ -199,13 +210,31 @@ def t_left(n: int, i: int) -> tuple:
 
 def y_terms(yloop: FreeWord) -> tuple[RowMatrix, ...]:
     """R_i = C_i t_i for the components C_i of [yloop]_y, the terms that
-    fold_over_x folds the x-loop over; several x-loops can share them."""
+    fold_over_x folds the x-loop over; several x-loops can share them.  The
+    terms of a one-letter loop are read from letter_y_terms, each in a
+    fresh RowMatrix, so no caller can change the table."""
+    if len(yloop) == 1:
+        ((j, sign),) = yloop.letters
+        return tuple(map(RowMatrix, letter_y_terms(yloop.n, j, sign)))
+    return _swept_y_terms(yloop)
+
+
+def _swept_y_terms(yloop: FreeWord) -> tuple[RowMatrix, ...]:
+    """The terms R_i of y_terms by one sweep of the y-loop."""
     n = yloop.n
     zero = RowMatrix.zero(n + 1)
     return tuple(
         zero if c.is_zero() else RowMatrix(c.entries) * t_right(n, i)
         for i, c in enumerate(tau_components_y(yloop), start=1)
     )
+
+
+@lru_cache(maxsize=None)
+def letter_y_terms(n: int, j: int, sign: int) -> tuple:
+    """The rows of each term R_i of the loop x_j^sign, as tuples: constants
+    of the representation, swept once."""
+    terms = _swept_y_terms(FreeWord.generator(n, j, sign))
+    return tuple(tuple(map(tuple, r.rows)) for r in terms)
 
 
 def x_terms(xloop: FreeWord) -> tuple[RowMatrix, ...]:

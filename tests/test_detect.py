@@ -317,6 +317,67 @@ def test_reverification_rejects_false_positives(monkeypatch):
         next(exchange_certificates(b_exchange, 1))
 
 
+def test_decision_does_not_read_the_y_terms_table(monkeypatch):
+    # one corrupted entry of pairing.letter_y_terms, E_00 added to each of
+    # its terms: the scans still find their one-letter certificates, since
+    # the screen and the exact decision read no y-terms, and the
+    # re-verification, which folds over them, rejects each.  At depth 0
+    # BETA1 reduces positively on x4 and BETA2 admits the exchange
+    # (x1, x4), re-verified on the y-loops x4^-1 and x1^-1
+    import braidmoves.pairing as P
+    from braidmoves.laurent import ONE
+
+    table = P.letter_y_terms
+
+    def corrupting(bad):
+        def corrupted(n, j, sign):
+            terms = table(n, j, sign)
+            if (n, j, sign) != bad:
+                return terms
+            return tuple(((row[0] + ONE, *row[1:]), *rows) for row, *rows in terms)
+
+        return corrupted
+
+    for scan, b, j in ((reducing_certificates, BETA1, 4), (exchange_certificates, BETA2, 1)):
+        found = next(scan(b, 0))
+        assert found.witnesses[0].word == FreeWord.generator(4, j)
+        with monkeypatch.context() as m:
+            m.setattr(P, "letter_y_terms", corrupting((4, j, -1)))
+            with pytest.raises(InvariantViolation):
+                next(scan(b, 0))
+
+
+def test_warm_scans_sweep_no_one_letter_y_loop(monkeypatch):
+    # once warm, the y-side of a one-letter loop comes from the tables of
+    # pairing and modcheck, in the screen rows and the re-verification
+    # alike; longer loops are still swept
+    import braidmoves.modcheck as MC
+    import braidmoves.pairing as P
+
+    scans = [(exchange_certificates, BETA1, 0), (exchange_certificates, BETA2, 0)]
+    scans += [(reducing_certificates, BETA1, 0), (exchange_certificates, BETA2, 1)]
+    for scan, b, depth in scans:
+        list(scan(b, depth))
+    swept, read = [], []
+
+    def recording(fn, log):
+        def recorded(*args):
+            log.append((fn.__name__, args))
+            return fn(*args)
+
+        return recorded
+
+    monkeypatch.setattr(P, "tau_components_y", recording(P.tau_components_y, swept))
+    monkeypatch.setattr(MC, "sweep_y", recording(MC.sweep_y, swept))
+    monkeypatch.setattr(P, "letter_y_terms", recording(P.letter_y_terms, read))
+    monkeypatch.setattr(MC, "letter_y_row", recording(MC.letter_y_row, read))
+    for scan, b, depth in scans:
+        list(scan(b, depth))
+    lengths = [len(args[0]) for _, args in swept]
+    assert min(lengths) > 1
+    assert {name for name, _ in read} == {"letter_y_terms", "letter_y_row"}
+
+
 # -- the block screen against the loop-word route -------------------------------
 
 

@@ -14,6 +14,7 @@ import random
 import sys
 from collections import Counter
 from functools import partial
+from itertools import chain
 
 from _tables import reference_entries, table_entries
 from braidmoves.detect import (
@@ -36,6 +37,8 @@ from braidmoves.magnus import _tau_letter, tau
 from braidmoves.modcheck import (
     P,
     ModVector,
+    _swept_y_row,
+    letter_y_row,
     loop_pairing_certainly_nonzero,
     pairing_certainly_nonzero,
     poly_mod,
@@ -43,6 +46,7 @@ from braidmoves.modcheck import (
     t_mod,
     x_mod,
     y_mod,
+    y_row,
 )
 from braidmoves.pairing import PairingValue, evaluate_loops, pair, t_element
 from braidmoves.words import BraidWord, FreeWord, y_basis_word
@@ -128,6 +132,28 @@ def test_mod_sweeps_are_reductions_of_exact_sweeps():
         assert sweep_y(w, row, zero, partial(y_mod, n)) == tuple(
             row_times(row, reduced(c)) for c in tau_components_y(w)
         )
+
+
+def test_letter_y_rows_equal_their_sweep():
+    """Each one-letter row against the sweep it is built by and against the
+    probe row times the reduced exact terms, u^T C_i t_i; a caller that
+    rewrites the row it was given leaves the next lookup as it was."""
+    for n in range(2, 7):
+        u = probe_vectors(n + 1)[0]
+        for j in range(1, n + 1):
+            for sign in (1, -1):
+                loop = FreeWord.generator(n, j, sign)
+                swept = _swept_y_row(loop)
+                exact = (
+                    row_times(u, reduced(c * t_element(n, i)))
+                    for i, c in enumerate(tau_components_y(loop), start=1)
+                )
+                assert swept == list(chain.from_iterable(exact))
+                served = y_row(loop)
+                assert served == swept and letter_y_row(n, j, sign) == tuple(swept)
+                served[0] += 1
+                served.clear()
+                assert y_row(loop) == swept
 
 
 def test_screen_nonzero_implies_exact_nonzero():

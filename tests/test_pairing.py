@@ -4,6 +4,7 @@ from functools import partial
 
 import pytest
 
+from braidmoves.detect import braid_words
 from braidmoves.homology import (
     GroupRingElement,
     HomologyClassX,
@@ -18,13 +19,16 @@ from braidmoves.homology import (
     sweep_x,
     sweep_y,
 )
-from braidmoves.magnus import MagnusElement, _tau_letter, tau
+from braidmoves.laurent import ONE
+from braidmoves.magnus import MagnusElement, RowMatrix, _tau_letter, tau
 from braidmoves.pairing import (
     PairingValue,
+    _swept_y_terms,
     evaluate_loops,
     fold_over_x,
     fold_over_y,
     is_zero_pairing,
+    letter_y_terms,
     pair,
     pair_loops,
     pairing_sum,
@@ -125,6 +129,32 @@ def _fold_cases():
             yield xj.inverse(), xi, False
             yield xi.inverse(), xi, False
             yield rand_free(rng, n, 8), rand_free(rng, n, 8), None
+    yield from _one_letter_cases()
+
+
+def _one_letter_cases():
+    """(x_j^sign, xloop, zero?) for every j and sign on B3-B5, the y-loops
+    whose terms come from letter_y_terms.  [x_j]_y = -x_j [x_j^-1]_y, so
+    both signs vanish against the same x-loops: b(x_k) for a braid b with
+    b(x_i) = x_j and i < k, which vanishes, and x_j, which does not, then
+    a random loop."""
+    rng = random.Random(14)
+    for n in (3, 4, 5):
+        gens = [FreeWord.generator(n, k) for k in range(1, n + 1)]
+        for j in range(1, n + 1):
+            b, k = next(
+                (b, k)
+                for b in braid_words(n, 2)
+                for i in range(1, n)
+                for k in range(i + 1, n + 1)
+                if b(gens[i - 1]) == gens[j - 1]
+            )
+            rand = rand_free(rng, n, 8)
+            for sign in (1, -1):
+                yloop = FreeWord.generator(n, j, sign)
+                yield yloop, b(gens[k - 1]), True
+                yield yloop, gens[j - 1], False
+                yield yloop, rand, None
 
 
 def test_fold_equals_factorwise_and_symbolic():
@@ -188,17 +218,48 @@ def test_fold_on_loops_of_about_a_hundred_letters():
 
 
 def test_shared_y_terms_equal_separate_evaluations():
-    # the exchange re-verification folds two x-loops through one y-side
+    # the exchange re-verification folds two x-loops through one y-side;
+    # a one-letter y-loop shares the terms of its table
     rng = random.Random(13)
+    cases = []
     for _ in range(12):
         n = rng.choice([3, 4, 5])
         yloop = rand_free(rng, n, 8)
+        cases.append((yloop, [(rand_free(rng, n, 8), None) for _ in range(2)]))
+    by_letter = {}
+    for yloop, xloop, zero in _one_letter_cases():
+        by_letter.setdefault(yloop, []).append((xloop, zero))
+    cases += by_letter.items()
+    for yloop, xloops in cases:
         terms = y_terms(yloop)
-        for _ in range(2):
-            xloop = rand_free(rng, n, 8)
+        for xloop, zero in xloops:
             shared = pair_loops(yloop, xloop, terms).evaluated
             assert shared == evaluate_loops(yloop, xloop)
+            assert shared == fold_over_y(yloop, xloop)
             assert shared == pair(fox_y(yloop), fox_x(xloop)).evaluated
+            if zero is not None:
+                assert shared.is_zero() == zero, (str(yloop), str(xloop))
+
+
+def test_letter_y_terms_equal_their_sweep():
+    # each table entry against the sweep it is built by and against the
+    # dense components times t_i; a caller that rewrites the terms it was
+    # given leaves the next lookup as it was
+    for n in range(2, 7):
+        for j in range(1, n + 1):
+            for sign in (1, -1):
+                loop = FreeWord.generator(n, j, sign)
+                swept = [r.element() for r in _swept_y_terms(loop)]
+                dense = [c * t_element(n, i) for i, c in enumerate(_dense_components_y(loop), 1)]
+                assert swept == dense
+                served = y_terms(loop)
+                assert [r.element() for r in served] == swept
+                assert [RowMatrix(rows).element() for rows in letter_y_terms(n, j, sign)] == swept
+                for term in served:
+                    with pytest.raises(TypeError):
+                        term.rows[0][0] = ONE
+                    term.rows = RowMatrix.identity(n + 1).rows
+                assert [r.element() for r in y_terms(loop)] == swept
 
 
 def test_pair_loops_builds_classes_only_for_the_symbolic_form():
