@@ -18,7 +18,7 @@ from .krammer import entry, is_identity, tau_plus
 from .laurent import LaurentPoly
 from .magnus import burau_block, tau
 from .pairing import pair
-from .words import BraidWord, FreeWord
+from .words import BraidWord, FreeWord, WordError
 
 EXIT_OK = 0
 EXIT_NOT_FOUND = 10
@@ -97,6 +97,8 @@ def _cmd_detect_reduce(args) -> int:
 
 
 def _cmd_detect_exchange(args) -> int:
+    if args.rewrite_depth is not None and args.rewrite_depth < 0:
+        raise WordError("rewrite depth must be >= 0")
     b = BraidWord.parse(args.word, args.n)
     result = _detect.detect_exchange(b, args.depth)
     if result.found and args.rewrite:

@@ -23,7 +23,24 @@ For a braid beta (acting as an automorphism, rightmost letter first):
 Detection at a fixed depth is a semi-decision procedure: not-found means
 not found within this depth, never a proof of absence.  Every positive
 result is re-verified from scratch through a fresh pairing evaluation in
-the matrix ring before it is returned.
+the matrix ring before it is returned.  The pairing is B_n-equivariant,
+
+    <[g(u)]_y, [g(v)]_x> = tau(g) <[u]_y, [v]_x> tau(g)^-1,
+
+and every certified class is w = psi(x_k) with its witness psi at hand, so
+each re-verification first checks psi(x_k) = w and then folds a pairing
+whose y-side is the single letter x_k^-1 (pairing.letter_y_terms): with
+c = psi^-1 beta psi,
+
+    <[w^-1]_y, [beta(w)]_x> = tau(psi) <[x_k^-1]_y, [c(x_k)]_x> tau(psi)^-1,
+    <[beta(w)^-1]_y, [w]_x> = tau(beta psi) <[x_k^-1]_y, [c^-1(x_k)]_x> tau(beta psi)^-1,
+
+and for v = psi_v(x_a) the two exchange conditions <v^*, u>, u = w and
+u = beta(w), are conjugates of <[x_a^-1]_y, [psi_v^-1(u)]_x>.  tau is a
+unit, so each pairing vanishes exactly when the folded one does.  The scan
+decides on the symbolic value of the original loops, so the fold stays an
+independent check; it sweeps no loop, as the one-letter y-side comes from
+the table.
 
 Each candidate is screened mod P in the block representation, without
 forming beta(w), whose length can grow exponentially with |beta|.  Two
@@ -45,8 +62,8 @@ or of beta^-1, mod P (krammer._push over the tables krammer._rows_mod).
 Each test is then one flat dot: Y(w^-1) tau+(beta^+-1) X(w) for the two
 reducing tests, Y(v^-1) tau+(beta) X(w) for <v^*, beta w beta^-1>, and
 Y(v^-1) X(w) for <v^*, w>.  A nonzero dot certifies an exact nonzero; a
-candidate whose dot vanishes is decided exactly on its loop words, and
-only then is beta(w) built.
+candidate whose dots all vanish, both conditions of an exchange pair, is
+decided exactly on its loop words, and only then is beta(w) built.
 
 A passing vanishing test reports a move on the conjugacy class; which of
 the two reducing signs fires for a given braid is decided computationally,
@@ -61,7 +78,7 @@ from typing import Iterator
 
 from .krammer import _push, _rows_mod, tau_plus
 from .modcheck import ModVector, dot_mod, x_column, y_row
-from .pairing import pair_loops, y_terms
+from .pairing import pair_loops
 from .words import BraidWord, FreeWord, WordError
 
 REDUCE_POSITIVE = "reduce_positive"
@@ -187,75 +204,95 @@ def enumerate_simple(n: int, depth: int) -> list[SimpleClass]:
 
 class _BlockScreen:
     """The mod-P screen of the scans of one braid b, in the block
-    representation (see the module docstring).  For each class word w it
-    keeps the flat row Y(w^-1) (modcheck.y_row), the flat column X(w)
-    (modcheck.x_column) and X(w) pushed through the image of b^sign mod P,
-    each formed on first use; no loop word of b is built for a candidate
-    that the screen clears."""
+    representation (see the module docstring).  Each class word w gets a
+    slot, slot(w), on first sight; per slot it keeps the flat row Y(w^-1)
+    (modcheck.y_row), the flat column X(w) (modcheck.x_column) and X(w)
+    pushed through the image of b^sign mod P, in lists, each formed on
+    first use.  No loop word of b is built for a candidate that the screen
+    clears."""
 
     def __init__(self, b: BraidWord):
         self.b = b
         self._letters = {1: b.letters[::-1], -1: b.inverse().letters[::-1]}
-        self._rows: dict[FreeWord, ModVector] = {}
-        self._columns: dict[tuple[FreeWord, int], ModVector] = {}
+        self._slots: dict[FreeWord, int] = {}
+        self.words: list[FreeWord] = []
+        self._rows: list[ModVector | None] = []
+        self._columns: dict[int, list[ModVector | None]] = {0: [], 1: [], -1: []}
 
-    def _row(self, v: FreeWord) -> ModVector:
-        if v not in self._rows:
-            self._rows[v] = y_row(v.inverse())
-        return self._rows[v]
+    def slot(self, w: FreeWord) -> int:
+        """The slot of the class word w, new on first sight."""
+        k = self._slots.get(w)
+        if k is None:
+            k = self._slots[w] = len(self.words)
+            self.words.append(w)
+            self._rows.append(None)
+            for columns in self._columns.values():
+                columns.append(None)
+        return k
 
-    def _column(self, w: FreeWord, sign: int) -> ModVector:
-        key = (w, sign)
-        if key not in self._columns:
+    def _column(self, j: int, sign: int) -> ModVector:
+        column = self._columns[sign][j]
+        if column is None:
             if sign:
-                col = [self._column(w, 0)]
-                col = ModVector(_push(self.b.n, self._letters[sign], col, _rows_mod, dot_mod)[0])
+                col = [self._column(j, 0)]
+                column = ModVector(_push(self.b.n, self._letters[sign], col, _rows_mod, dot_mod)[0])
             else:
-                col = x_column(w)
-            self._columns[key] = col
-        return self._columns[key]
+                column = x_column(self.words[j])
+            self._columns[sign][j] = column
+        return column
 
-    def value(self, v: FreeWord, w: FreeWord, sign: int) -> int:
-        """Y(v^-1) . tau+(b^sign) X(w) mod P, with no push for sign 0.  A
-        nonzero value certifies that the pairing zero() decides is exactly
-        nonzero."""
-        return self._row(v) * self._column(w, sign)
+    def value(self, i: int, j: int, sign: int) -> int:
+        """Y(v^-1) . tau+(b^sign) X(w) mod P for the words v, w of slots i, j,
+        with no push for sign 0.  A nonzero value certifies that the pairing
+        decide() tests is exactly nonzero."""
+        row = self._rows[i]
+        if row is None:
+            row = self._rows[i] = y_row(self.words[i].inverse())
+        return row * self._column(j, sign)
 
-    def zero(self, v: FreeWord, w: FreeWord, sign: int) -> bool:
-        """Exact zero test of <[v^-1]_y, [b^sign(w)]_x> for sign 0 or 1, or,
-        for sign -1 (v = w), of the negative reducing pairing
-        <[b(w)^-1]_y, [w]_x>: screened by value(), then decided on the loop
-        words, and b(w) is built only then."""
-        if self.value(v, w, sign):
-            return False
+    def decide(self, i: int, j: int, sign: int) -> bool:
+        """Exact zero test, on the loop words, of <[v^-1]_y, [b^sign(w)]_x>
+        for sign 0 or 1 and the words v, w of slots i, j, or, for sign -1
+        (i = j), of the negative reducing pairing <[b(w)^-1]_y, [w]_x>;
+        b(w) is built only here."""
+        v, w = self.words[i], self.words[j]
         if sign < 0:
             return pair_loops(self.b(w).inverse(), w).is_zero()
         return pair_loops(v.inverse(), self.b(w) if sign else w).is_zero()
 
 
-def _verified_zero(yloop: FreeWord, xloop: FreeWord, yterms=None) -> bool:
-    """Evaluate a fresh pairing of two loops all the way to the matrix ring;
-    yterms, when given, is pairing.y_terms(yloop)."""
-    return pair_loops(yloop, xloop, yterms).evaluated.is_zero()
+def _verified_zero(yloop: FreeWord, xloop: FreeWord) -> bool:
+    """Evaluate a fresh pairing of two loops all the way to the matrix ring."""
+    return pair_loops(yloop, xloop).evaluated.is_zero()
+
+
+def _base(sc: SimpleClass) -> tuple[BraidWord, FreeWord]:
+    """The witness psi of sc and x_k, k its generator index, once psi(x_k) is
+    checked to be the class word."""
+    x = FreeWord.generator(sc.n, sc.generator_index)
+    if sc.witness(x) != sc.word:
+        raise InvariantViolation(f"witness {sc.witness} does not realize {sc.word}")
+    return sc.witness, x
 
 
 def _reverify_reducing(b: BraidWord, sc: SimpleClass, kind: str):
-    w = sc.word
-    if kind == REDUCE_POSITIVE:
-        ok = _verified_zero(w.inverse(), b(w))
-    else:
-        ok = _verified_zero(b(w).inverse(), w)
-    if not ok:
-        raise InvariantViolation(f"reducing witness failed re-verification: {w}")
+    # w = psi(x_k) and c = psi^-1 b psi: the pairing is tau(psi) or
+    # tau(b psi) times <[x_k^-1]_y, [c^+-1(x_k)]_x> times its inverse
+    psi, x = _base(sc)
+    c = psi.inverse() * b * psi
+    if not _verified_zero(x.inverse(), (c if kind == REDUCE_POSITIVE else c.inverse())(x)):
+        raise InvariantViolation(f"reducing witness failed re-verification: {sc.word}")
 
 
 def _reverify_exchange(b: BraidWord, v: SimpleClass, w: SimpleClass):
-    # v^* = [v^-1]_y: both conditions fold through its terms, built once
-    vstar = v.word.inverse()
-    terms = y_terms(vstar)
-    if not _verified_zero(vstar, w.word, terms):
+    # v = psi_v(x_a): <v^*, u> is tau(psi_v) <[x_a^-1]_y, [psi_v^-1(u)]_x>
+    # tau(psi_v)^-1 for u = w and u = b(w), w = psi_w(x_k)
+    psi_v, xa = _base(v)
+    psi_w, xk = _base(w)
+    back = psi_v.inverse()
+    if not _verified_zero(xa.inverse(), (back * psi_w)(xk)):
         raise InvariantViolation(f"exchange witness pair failed <v*, w> = 0: {v.word}, {w.word}")
-    if not _verified_zero(vstar, b(w.word), terms):
+    if not _verified_zero(xa.inverse(), (back * b * psi_w)(xk)):
         raise InvariantViolation(
             f"exchange witness pair failed <v*, beta w beta^-1> = 0: {v.word}, {w.word}"
         )
@@ -273,10 +310,10 @@ def reducing_certificates(b: BraidWord, depth: int) -> Iterator[DetectionResult]
     """
     screen = _BlockScreen(b)
     for sc in enumerate_simple(b.n, depth):
-        w = sc.word
-        if screen.zero(w, w, 1):
+        k = screen.slot(sc.word)
+        if not screen.value(k, k, 1) and screen.decide(k, k, 1):
             kind = REDUCE_POSITIVE
-        elif screen.zero(w, w, -1):
+        elif not screen.value(k, k, -1) and screen.decide(k, k, -1):
             kind = REDUCE_NEGATIVE
         else:
             continue
@@ -303,20 +340,21 @@ def exchange_certificates(b: BraidWord, depth: int) -> Iterator[DetectionResult]
     (x_{n-1}, x_n) under braid words psi of length <= depth; such pairs
     satisfy the first vanishing condition automatically and make the move
     directly rewritable.  Strategy (ii) then scans the other pairs of
-    enumerated simple classes, filtering by the first condition; (i) has
-    decided the second condition of every joint pair.
+    enumerated simple classes, screening both conditions before deciding
+    either; (i) has decided the second condition of every joint pair.
     """
     n = b.n
     if n < 3:
         raise WordError("exchange moves need n >= 3")
 
     start = (FreeWord.generator(n, n - 1), FreeWord.generator(n, n))
-    joint: set[tuple[FreeWord, FreeWord]] = set()
     screen = _BlockScreen(b)
+    joint: set[tuple[int, int]] = set()
 
     for (vw, ww), psi, _ in _orbit(n, [start], depth):
-        joint.add((vw, ww))
-        if not screen.zero(vw, ww, 1):
+        i, j = screen.slot(vw), screen.slot(ww)
+        joint.add((i, j))
+        if screen.value(i, j, 1) or not screen.decide(i, j, 1):
             continue
         v = SimpleClass(vw, psi, n - 1)
         w = SimpleClass(ww, psi, n)
@@ -330,13 +368,13 @@ def exchange_certificates(b: BraidWord, depth: int) -> Iterator[DetectionResult]
         )
 
     classes = enumerate_simple(n, depth)
-    for v in classes:
-        for w in classes:
-            if (v.word, w.word) in joint:
+    slots = [screen.slot(sc.word) for sc in classes]
+    for v, i in zip(classes, slots):
+        for w, j in zip(classes, slots):
+            # both conditions are screened before either is decided
+            if (i, j) in joint or screen.value(i, j, 0) or screen.value(i, j, 1):
                 continue
-            if not screen.zero(v.word, w.word, 0):
-                continue
-            if not screen.zero(v.word, w.word, 1):
+            if not (screen.decide(i, j, 0) and screen.decide(i, j, 1)):
                 continue
             _reverify_exchange(b, v, w)
             yield DetectionResult(
@@ -368,7 +406,8 @@ unknot pipeline store at most 89 024 letters."""
 def find_joint_braid(v_word: FreeWord, w_word: FreeWord, depth: int) -> BraidWord | None:
     """A braid psi with psi(x_{n-1}) = v_word and psi(x_n) = w_word, of
     length at most depth, or None when the bounded search exhausts its
-    depth, MAX_JOINT_STATES or MAX_JOINT_LETTERS.
+    depth, MAX_JOINT_STATES or MAX_JOINT_LETTERS.  A negative depth raises
+    WordError.
 
     Works by bidirectional breadth-first search on the orbit of the pair
     (x_{n-1}, x_n): prepending a generator g to psi maps the state pair
@@ -378,6 +417,8 @@ def find_joint_braid(v_word: FreeWord, w_word: FreeWord, depth: int) -> BraidWor
     (each state with every letter in turn), unlike _orbit's letter-major
     levels: another order returns another psi, and another rewrite.
     """
+    if depth < 0:
+        raise WordError("depth must be >= 0")
     n = v_word.n
     if w_word.n != n:
         raise WordError("puncture count mismatch")
@@ -447,8 +488,9 @@ def rewrite_exchange(
     phi(x_n) = beta(w-word); on success returns
     phi sigma_{n-1}^-2 phi^-1 . b . psi sigma_{n-1}^2 psi^-1, freely
     reduced.  Returns None when no realizing braids are found within the
-    depth (the witness pair still stands).  The output is a braid-group
-    equal exchange partner, not a literal word rewrite.
+    depth (the witness pair still stands); a negative depth raises
+    WordError.  The output is a braid-group equal exchange partner, not a
+    literal word rewrite.
     """
     if not result.found or result.kind != EXCHANGE:
         raise ValueError("rewrite_exchange needs a found exchange result")

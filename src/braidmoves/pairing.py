@@ -23,20 +23,21 @@ x-loop, left to right, acc <- acc X + R_i for x_i and
 acc <- (acc - R_i) X for x_i^-1 (fold_over_x, homology.fold_x); over the
 y-loop, right to left, acc <- Y acc + L_i for y_i and
 acc <- Y (acc - L_i) for y_i^-1 (fold_over_y, homology.fold_y).  The
-folded loop's components are never formed; the shorter loop is the one
-swept, and the terms of one y-loop can serve several x-loops.  The result
-is the full exact (n+1) x (n+1) value.
+folded loop's components are never formed, and the shorter loop is the
+one swept.  The result is the full exact (n+1) x (n+1) value.
 
 The terms R_i of a one-letter y-loop x_j^sign are constants of the
 representation.  letter_y_terms keeps them per (n, j, sign), built on
 first use by the same sweep and held as tuples, and y_terms serves them
-from there.  Most y-loops that detect's re-verifications fold over are
-such loops: v^* = [x_j^-1]_y for the simple class v = [x_j]_x.  The exact
-zero test reads the symbolic value first, so no symbolic zero reads the
-table.  Longer loops are swept: two general forms measured slower on
-them, the y-terms by the product rule over per-letter constants (2x
-slower from three letters on) and a double fold over a table of letter
-pairs (3-5x slower on loops of about a hundred letters).
+from there.  Every y-loop that detect's re-verifications fold over is
+such a loop: each re-verified pairing is a unit conjugate of one whose
+y-side is x_k^-1, x_k the generator that the class's witness moves onto
+the class, so a re-verification sweeps neither loop.  The exact zero test
+reads the symbolic value first, so no symbolic zero reads the table.
+Longer loops are swept: two general forms measured slower on them, the
+y-terms by the product rule over per-letter constants (2x slower from
+three letters on) and a double fold over a table of letter pairs (3-5x
+slower on loops of about a hundred letters).
 """
 
 from __future__ import annotations
@@ -102,14 +103,13 @@ class PairingValue:
     already, and its symbolic form builds the classes when first read.
     """
 
-    __slots__ = ("_symbolic", "_classes", "_loops", "_yterms", "_evaluated")
+    __slots__ = ("_symbolic", "_classes", "_loops", "_evaluated")
 
     def __init__(
         self,
         symbolic: GroupRingElement | None = None,
         classes: tuple[HomologyClassY, HomologyClassX] | None = None,
         loops: tuple[FreeWord, FreeWord] | None = None,
-        yterms: tuple | None = None,
     ):
         if symbolic is None and classes is None and loops is None:
             raise ValueError("need a symbolic value, the paired classes or their loops")
@@ -120,7 +120,6 @@ class PairingValue:
         self._symbolic = symbolic
         self._classes = classes
         self._loops = loops
-        self._yterms = yterms
         self._evaluated: MagnusElement | None = None
 
     @property
@@ -136,7 +135,7 @@ class PairingValue:
     def evaluated(self) -> MagnusElement:
         if self._evaluated is None:
             if self._loops is not None:
-                self._evaluated = evaluate_loops(*self._loops, self._yterms)
+                self._evaluated = evaluate_loops(*self._loops)
             elif self._classes is not None:
                 self._evaluated = _evaluate_factorwise(*self._classes)
             else:
@@ -210,9 +209,9 @@ def t_left(n: int, i: int) -> tuple:
 
 def y_terms(yloop: FreeWord) -> tuple[RowMatrix, ...]:
     """R_i = C_i t_i for the components C_i of [yloop]_y, the terms that
-    fold_over_x folds the x-loop over; several x-loops can share them.  The
-    terms of a one-letter loop are read from letter_y_terms, each in a
-    fresh RowMatrix, so no caller can change the table."""
+    fold_over_x folds the x-loop over.  The terms of a one-letter loop are
+    read from letter_y_terms, each in a fresh RowMatrix, so no caller can
+    change the table."""
     if len(yloop) == 1:
         ((j, sign),) = yloop.letters
         return tuple(map(RowMatrix, letter_y_terms(yloop.n, j, sign)))
@@ -248,13 +247,11 @@ def x_terms(xloop: FreeWord) -> tuple[RowMatrix, ...]:
     )
 
 
-def fold_over_x(yloop: FreeWord, xloop: FreeWord, yterms: tuple | None = None) -> MagnusElement:
+def fold_over_x(yloop: FreeWord, xloop: FreeWord) -> MagnusElement:
     """S from the y-terms R_i and the x-loop folded left to right:
-    acc <- acc X + R_i for x_i, acc <- (acc - R_i) X for x_i^-1.  yterms,
-    when given, is y_terms(yloop)."""
-    terms = y_terms(yloop) if yterms is None else yterms
+    acc <- acc X + R_i for x_i, acc <- (acc - R_i) X for x_i^-1."""
     zero = RowMatrix.zero(yloop.n + 1)
-    return fold_x(xloop, terms, zero, partial(x_right, yloop.n)).element()
+    return fold_x(xloop, y_terms(yloop), zero, partial(x_right, yloop.n)).element()
 
 
 def fold_over_y(yloop: FreeWord, xloop: FreeWord) -> MagnusElement:
@@ -266,13 +263,12 @@ def fold_over_y(yloop: FreeWord, xloop: FreeWord) -> MagnusElement:
     return acc.transposed_element()
 
 
-def evaluate_loops(yloop: FreeWord, xloop: FreeWord, yterms: tuple | None = None) -> MagnusElement:
+def evaluate_loops(yloop: FreeWord, xloop: FreeWord) -> MagnusElement:
     """The exact value of <[yloop]_y, [xloop]_x> in the matrix ring, by a
-    fold over the longer loop (over the x-loop when yterms, y_terms(yloop),
-    is given)."""
-    if yterms is None and len(xloop) < len(yloop):
+    fold over the longer loop."""
+    if len(xloop) < len(yloop):
         return fold_over_y(yloop, xloop)
-    return fold_over_x(yloop, xloop, yterms)
+    return fold_over_x(yloop, xloop)
 
 
 def _symbolic_pairing(yc: HomologyClassY, xc: HomologyClassX) -> GroupRingElement:
@@ -289,13 +285,12 @@ def pair(yc: HomologyClassY, xc: HomologyClassX) -> PairingValue:
     return PairingValue(classes=(yc, xc))
 
 
-def pair_loops(yloop: FreeWord, xloop: FreeWord, yterms: tuple | None = None) -> PairingValue:
+def pair_loops(yloop: FreeWord, xloop: FreeWord) -> PairingValue:
     """<[yloop]_y, [xloop]_x>, with neither class built until its symbolic
-    form is read; yterms, when given, is y_terms(yloop), shared by the
-    values of several x-loops."""
+    form is read."""
     if yloop.n != xloop.n:
         raise WordError(f"puncture count mismatch: {yloop.n} vs {xloop.n}")
-    return PairingValue(loops=(yloop, xloop), yterms=yterms)
+    return PairingValue(loops=(yloop, xloop))
 
 
 def is_zero_pairing(p: PairingValue) -> bool:

@@ -190,6 +190,17 @@ def test_oversized_depths_rejected(capsys):
         assert code == EXIT_USAGE and "error" in err
 
 
+def test_negative_rewrite_depth_rejected(capsys):
+    # refused whether or not the scan finds an exchange to rewrite: the
+    # first braid has one at depth 2, the second none at depth 0
+    for n, word, depth in (("4", "-2 -2 1 -2 3 2 2 2 -1 2 -3", "2"), ("3", "1 -2 1 -2 1 -2", "0")):
+        code, out, err = run(
+            capsys, "detect-exchange", "-n", n, "--depth", depth, "--rewrite",
+            "--rewrite-depth", "-5", "--format", "json", word,
+        )
+        assert code == EXIT_USAGE and "error" in err and not out
+
+
 def test_seed_flag_accepted(capsys):
     code, out, _ = run(capsys, "--seed", "7", "is-identity", "-n", "2", "")
     assert code == EXIT_OK

@@ -27,7 +27,7 @@ from braidmoves.homology import fox_x, fox_y, star_x_to_y
 from braidmoves.krammer import entry, is_identity
 from braidmoves.magnus import MagnusElement, tau
 from braidmoves.modcheck import x_column, y_row
-from braidmoves.pairing import pair, pair_loops
+from braidmoves.pairing import evaluate_loops, pair, pair_loops
 from braidmoves.words import BraidWord, FreeWord, WordError
 
 BETA2 = BraidWord.parse("-2 -2 -1 -2 -3 2 2 2 1 2 3", 4)
@@ -300,21 +300,117 @@ def test_beta1_finds_expected_second_pair():
 
 
 def test_reverification_rejects_false_positives(monkeypatch):
-    # a zero test (_BlockScreen.zero, the screen and the exact decision) that
-    # accepts every candidate: the from-scratch evaluation must stop both
-    # scans before they yield a non-certificate.  The first
-    # reducing candidate of the identity braid is x1, and <[x1^-1]_y, [x1]_x>
-    # = t_1; the first exchange pair of sigma_3 is (x3, x4) with
-    # sigma_3(x4) = x4^-1 x3 x4, and <[x3^-1]_y, [x4^-1 x3 x4]_x> != 0
+    # a screen (_BlockScreen.value) that clears nothing and an exact
+    # decision (_BlockScreen.decide) that accepts every candidate: the
+    # from-scratch evaluation must stop both scans before they yield a
+    # non-certificate.  The first reducing candidate of the identity braid
+    # is x1, and <[x1^-1]_y, [x1]_x> = t_1; the first exchange pair of
+    # sigma_3 is (x3, x4) with sigma_3(x4) = x4^-1 x3 x4, and
+    # <[x3^-1]_y, [x4^-1 x3 x4]_x> != 0
     b_reduce, b_exchange = BraidWord.identity(4), BraidWord.generator(4, 3)
     x3, x4 = FreeWord.generator(4, 3), FreeWord.generator(4, 4)
     assert not D._verified_zero(FreeWord.generator(4, 1, -1), FreeWord.generator(4, 1))
     assert not D._verified_zero(x3.inverse(), b_exchange(x4))
-    monkeypatch.setattr(D._BlockScreen, "zero", lambda screen, v, w, sign: True)
+    monkeypatch.setattr(D._BlockScreen, "value", lambda screen, i, j, sign: 0)
+    monkeypatch.setattr(D._BlockScreen, "decide", lambda screen, i, j, sign: True)
     with pytest.raises(InvariantViolation):
         next(reducing_certificates(b_reduce, 1))
     with pytest.raises(InvariantViolation):
         next(exchange_certificates(b_exchange, 1))
+
+
+def test_reverified_pairings_are_unit_conjugates_of_base_pairings():
+    # for w = psi(x_k) and c = psi^-1 b psi, exactly in the matrix ring:
+    #   <[w^-1]_y, [b(w)]_x> tau(psi)    = tau(psi) <[x_k^-1]_y, [c(x_k)]_x>
+    #   <[b(w)^-1]_y, [w]_x> tau(b psi)  = tau(b psi) <[x_k^-1]_y, [c^-1(x_k)]_x>
+    #   <[w^-1]_y, [u]_x> tau(psi)       = tau(psi) <[x_k^-1]_y, [psi^-1(u)]_x>
+    # the last for u = psi(x_j) and u = b(psi(x_j)), the two exchange
+    # conditions of the pair (w, psi(x_j)), the first of which vanishes for
+    # j > k; the witnesses of the certificates of BETA1 and BETA2 at depth 1
+    # add known zeros of the reducing pairings
+    rng = random.Random(1401)
+    triples = [(rand_braid(rng, n, 4), rng.randrange(1, n + 1), rand_braid(rng, n, 5))
+               for n in (3, 4, 5) for _ in range(12)]
+    for b in (BETA1, BETA2):
+        for cert in [*reducing_certificates(b, 1), *exchange_certificates(b, 1)]:
+            v = cert.witnesses[0]
+            triples.append((v.witness, v.generator_index, b))
+    values = []
+    for psi, k, b in triples:
+        n = b.n
+        x = FreeWord.generator(n, k)
+        w, u = psi(x), psi(FreeWord.generator(n, rng.randrange(1, n + 1)))
+        c, tp, tbp = psi.inverse() * b * psi, tau(psi), tau(b * psi)
+        base = evaluate_loops(x.inverse(), c(x))
+        assert evaluate_loops(w.inverse(), b(w)) * tp == tp * base
+        values.append(base)
+        base = evaluate_loops(x.inverse(), c.inverse()(x))
+        assert evaluate_loops(b(w).inverse(), w) * tbp == tbp * base
+        values.append(base)
+        for loop in (u, b(u)):
+            base = evaluate_loops(x.inverse(), psi.inverse()(loop))
+            assert evaluate_loops(w.inverse(), loop) * tp == tp * base
+            values.append(base)
+    zeros = sum(value.is_zero() for value in values)
+    assert 20 < zeros < len(values) - 100, (zeros, len(values))
+
+
+def test_reverification_checks_the_witness():
+    # a class whose witness psi does not send x_k to its word, by a wrong
+    # generator index or a wrong braid, is refused before any pairing is
+    # folded, in both re-verifications, although the certified pairings
+    # vanish
+    reducing, exchange = next(reducing_certificates(BETA1, 1)), next(exchange_certificates(BETA2, 1))
+    v, w = exchange.witnesses
+    checks = [
+        (reducing.witnesses[0], lambda sc: D._reverify_reducing(BETA1, sc, reducing.kind)),
+        (v, lambda sc: D._reverify_exchange(BETA2, sc, w)),
+        (w, lambda sc: D._reverify_exchange(BETA2, v, sc)),
+    ]
+    for sc, reverify in checks:
+        reverify(sc)
+        k = sc.generator_index
+        moved = sc.witness * BraidWord.generator(4, k if k < 4 else k - 1)
+        for bad in (D.SimpleClass(sc.word, sc.witness, k % 4 + 1), D.SimpleClass(sc.word, moved, k)):
+            with pytest.raises(InvariantViolation, match="does not realize"):
+                reverify(bad)
+
+
+def test_warm_reverification_sweeps_no_loop(monkeypatch):
+    # every re-verification folds an x-loop against a one-letter y-loop,
+    # whose terms come from the table: once warm it sweeps neither side
+    import braidmoves.pairing as P
+
+    scans = [(reducing_certificates, BETA1, 1), (reducing_certificates, BETA2, 1)]
+    scans += [(exchange_certificates, BETA2, 1), (exchange_certificates, MORTON, 1)]
+    for scan, b, depth in scans:
+        list(scan(b, depth))
+    folds, swept, inside = [], [], []
+
+    def verifying(yloop, xloop):
+        folds.append(len(yloop))
+        inside.append(True)
+        try:
+            return verified(yloop, xloop)
+        finally:
+            inside.pop()
+
+    def recording(fn):
+        def recorded(*args):
+            if inside:
+                swept.append((fn.__name__, args))
+            return fn(*args)
+
+        return recorded
+
+    verified = D._verified_zero
+    monkeypatch.setattr(D, "_verified_zero", verifying)
+    monkeypatch.setattr(P, "_swept_y_terms", recording(P._swept_y_terms))
+    monkeypatch.setattr(P, "x_terms", recording(P.x_terms))
+    for scan, b, depth in scans:
+        assert list(scan(b, depth))
+    assert folds and set(folds) == {1}
+    assert swept == []
 
 
 def test_decision_does_not_read_the_y_terms_table(monkeypatch):
@@ -569,6 +665,17 @@ def test_rewrite_requires_exchange_result():
     result = detect_reducing(BETA2, 0)
     with pytest.raises(ValueError):
         rewrite_exchange(BETA2, result, 1)
+
+
+def test_negative_rewrite_depth_rejected():
+    # before any search, so also where depth 0 would answer at once
+    xn1, xn = FreeWord.generator(4, 3), FreeWord.generator(4, 4)
+    with pytest.raises(WordError):
+        find_joint_braid(xn1, xn, -1)
+    result = detect_exchange(MORTON, 2)
+    assert result.joint_witness is not None
+    with pytest.raises(WordError):
+        rewrite_exchange(MORTON, result, -5)
 
 
 def test_rewrite_first_found_pair():

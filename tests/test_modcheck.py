@@ -210,14 +210,16 @@ def test_classes_without_loops_go_to_the_exact_decision():
 
 
 def test_detection_screens_each_candidate_once(monkeypatch):
-    """A scan sweeps each class once per side and pushes its column once
-    per sign of b; each survivor of the screen is screened once and goes on
-    to one exact decision, and nothing else does.  Every scan screens each
-    test once: strategy (ii) of an exchange scan skips the joint pairs that
-    strategy (i) decided."""
+    """A scan sweeps each class once per side, pushes its column once per
+    sign of b and screens each test once; strategy (ii) of an exchange scan
+    skips the joint pairs that strategy (i) decided.  A candidate, a
+    reducing move (w, sign) or an exchange pair (v, w), is decided exactly
+    only when every test of it that was screened vanishes: strategy (ii)
+    screens both conditions of a pair before it decides either.  Each
+    vanishing reducing test is decided."""
     import braidmoves.detect as D
 
-    calls, exact = Counter(), []
+    calls, decided, exact = Counter(), [], []
 
     def counting(fn, key):
         def wrapped(*args):
@@ -231,27 +233,43 @@ def test_detection_screens_each_candidate_once(monkeypatch):
         exact.append(value._loops)
         return is_zero(value)
 
-    is_zero = PairingValue.is_zero
+    def recording(screen, i, j, sign):
+        decided.append((screen.words[i], screen.words[j], sign))
+        return decide(screen, i, j, sign)
+
+    is_zero, decide = PairingValue.is_zero, D._BlockScreen.decide
     monkeypatch.setattr(PairingValue, "is_zero", deciding)
+    monkeypatch.setattr(D._BlockScreen, "decide", recording)
     monkeypatch.setattr(D, "x_column", counting(D.x_column, lambda w, _: ("x", w)))
     monkeypatch.setattr(D, "y_row", counting(D.y_row, lambda w, _: ("y", w)))
     monkeypatch.setattr(
         D, "_push", counting(D._push, lambda n, letters, vecs, *_: ("push", tuple(letters), tuple(vecs[0])))
     )
-    monkeypatch.setattr(
-        D._BlockScreen,
-        "value",
-        counting(D._BlockScreen.value, lambda s, v, w, sign, out: ("screen", v, w, sign, out != 0)),
-    )
+
+    def screen_key(s, i, j, sign, out):
+        return ("screen", s.words[i], s.words[j], sign, out != 0)
+
+    monkeypatch.setattr(D._BlockScreen, "value", counting(D._BlockScreen.value, screen_key))
     for scan, depth in ((reducing_certificates, 0), (reducing_certificates, 1), (exchange_certificates, 1)):
         calls.clear()
+        decided.clear()
         exact.clear()
         assert list(scan(BETA2, depth))
         kinds = Counter(key[0] for key in calls)
         assert kinds["push"] and kinds["x"] and kinds["y"]
-        survivors = [key for key in calls if key[0] == "screen" and not key[-1]]
-        assert 0 < len(survivors) == len(exact) < kinds["screen"]
         assert set(calls.values()) == {1}
+
+        def candidate(v, w, sign):
+            return (w, sign) if scan is reducing_certificates else (v, w)
+
+        tests = [key[1:] for key in calls if key[0] == "screen"]
+        vanished = {test[:3] for test in tests if not test[3]}
+        cleared = {candidate(*test[:3]) for test in tests if test[3]}
+        assert 0 < len(decided) == len(set(decided)) == len(exact) < len(tests)
+        assert set(decided) <= vanished
+        assert not {candidate(*test) for test in decided} & cleared
+        if scan is reducing_certificates:
+            assert set(decided) == vanished
 
 
 def matrix_verdict(y: FreeWord, x: FreeWord) -> bool:
@@ -304,6 +322,11 @@ def block_tests(b, v, w):
     )
 
 
+def screened(screen, v, w, sign):
+    """The block screen's value for the class words v, w."""
+    return screen.value(screen.slot(v), screen.slot(w), sign)
+
+
 def probed(m, n):
     """u^T m v mod P for the probe row u and column v of the screen."""
     u, v = probe_vectors(n + 1)
@@ -336,9 +359,9 @@ def test_block_screen_value_is_the_probed_exact_value():
         v, w = simple_loop(rng, n, 3), simple_loop(rng, n, 3)
         screen = _BlockScreen(b)
         binv = b.inverse()
-        assert screen.value(v, w, 0) == probed(evaluate_loops(v.inverse(), w), n)
-        assert screen.value(v, w, 1) == probed(evaluate_loops(v.inverse(), b(w)) * tau(b), n)
-        assert screen.value(w, w, -1) == probed(
+        assert screened(screen, v, w, 0) == probed(evaluate_loops(v.inverse(), w), n)
+        assert screened(screen, v, w, 1) == probed(evaluate_loops(v.inverse(), b(w)) * tau(b), n)
+        assert screened(screen, w, w, -1) == probed(
             evaluate_loops(w.inverse(), binv(w)) * tau(binv), n
         )
 
@@ -355,8 +378,8 @@ def test_block_screen_never_clears_a_known_zero():
             for i in range(1, n + 1):
                 for j in range(i + 1, n + 1):
                     v, w = psi(FreeWord.generator(n, i)), psi(FreeWord.generator(n, j))
-                    assert not screen.value(v, w, 0)
-                    assert not screen.value(b(v), w, 1)
+                    assert not screened(screen, v, w, 0)
+                    assert not screened(screen, b(v), w, 1)
     kinds = set()
     for b in (BETA2, BETA2.inverse()):
         screen = _BlockScreen(b)
@@ -364,7 +387,7 @@ def test_block_screen_never_clears_a_known_zero():
         assert len(certs) == 3
         for cert in certs:
             w = cert.witnesses[0].word
-            assert not screen.value(w, w, 1 if cert.kind == REDUCE_POSITIVE else -1)
+            assert not screened(screen, w, w, 1 if cert.kind == REDUCE_POSITIVE else -1)
             kinds.add(cert.kind)
     assert len(kinds) == 2
 
@@ -387,7 +410,7 @@ def test_block_verdict_equals_full_matrix_verdict():
             v, w = simple_loop(rng, n, 4), simple_loop(rng, n, 4)
         screen = _BlockScreen(b)
         for sign, yc, xc, yloop, xloop in block_tests(b, v, w):
-            verdict = screen.value(yc, xc, sign) != 0
+            verdict = screened(screen, yc, xc, sign) != 0
             assert verdict == matrix_verdict(yloop, xloop), (str(b), str(yc), str(xc), sign)
             verdicts.add(verdict)
     assert verdicts == {True, False}
@@ -406,11 +429,13 @@ def test_block_screen_verdicts_equal_loop_screen_verdicts():
         for v in classes:
             for w in classes:
                 for sign, yc, xc, yloop, xloop in block_tests(b, v, w):
-                    verdict = screen.value(yc, xc, sign) != 0
+                    verdict = screened(screen, yc, xc, sign) != 0
                     assert verdict == loop_pairing_certainly_nonzero(yloop, xloop)
                     verdicts.add(verdict)
-        assert len(screen._rows) == len(classes)
-        assert len(screen._columns) == 3 * len(classes)
+        assert len(screen.words) == len(classes)
+        assert sum(row is not None for row in screen._rows) == len(classes)
+        formed = [col for cols in screen._columns.values() for col in cols if col is not None]
+        assert len(formed) == 3 * len(classes)
     assert verdicts == {True, False}
 
 

@@ -217,9 +217,9 @@ def test_fold_on_loops_of_about_a_hundred_letters():
             assert fold_over_x(yloop, xloop) == fold_over_y(yloop, xloop) == folded
 
 
-def test_shared_y_terms_equal_separate_evaluations():
-    # the exchange re-verification folds two x-loops through one y-side;
-    # a one-letter y-loop shares the terms of its table
+def test_fold_over_x_equals_the_other_evaluations():
+    # the re-verification folds x-loops against one-letter y-loops, whose
+    # terms come from the table; a longer y-loop is swept
     rng = random.Random(13)
     cases = []
     for _ in range(12):
@@ -231,14 +231,13 @@ def test_shared_y_terms_equal_separate_evaluations():
         by_letter.setdefault(yloop, []).append((xloop, zero))
     cases += by_letter.items()
     for yloop, xloops in cases:
-        terms = y_terms(yloop)
         for xloop, zero in xloops:
-            shared = pair_loops(yloop, xloop, terms).evaluated
-            assert shared == evaluate_loops(yloop, xloop)
-            assert shared == fold_over_y(yloop, xloop)
-            assert shared == pair(fox_y(yloop), fox_x(xloop)).evaluated
+            folded = fold_over_x(yloop, xloop)
+            assert folded == evaluate_loops(yloop, xloop)
+            assert folded == fold_over_y(yloop, xloop)
+            assert folded == pair(fox_y(yloop), fox_x(xloop)).evaluated
             if zero is not None:
-                assert shared.is_zero() == zero, (str(yloop), str(xloop))
+                assert folded.is_zero() == zero, (str(yloop), str(xloop))
 
 
 def test_letter_y_terms_equal_their_sweep():
