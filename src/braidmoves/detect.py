@@ -55,11 +55,15 @@ shape for beta^-1:
     tau(beta^-1) <[beta(w)^-1]_y, [w]_x> tau(beta) = <[w^-1]_y, [beta^-1(w)]_x>.
 
 tau(beta) is a unit, so each pairing vanishes exactly when its
-pairing_sum does.  A scan keeps, per class word w, the probed flat column
-X(w) (modcheck.x_column), the probed flat row Y(w^-1) with the t_i
-applied (modcheck.y_row), and X(w) pushed once through the image of beta,
-or of beta^-1, mod P (krammer._push over the tables krammer._rows_mod).
-Each test is then one flat dot: Y(w^-1) tau+(beta^+-1) X(w) for the two
+pairing_sum does.  The probed flat column X(w) (modcheck.x_column) and
+the probed flat row Y(w^-1) with the t_i applied (modcheck.y_row) depend
+on the class word w alone, so they live in the class table of (n, depth)
+(_class_table), with the classes in enumeration order and the joint orbit
+of the exchange scan: each is formed once, by the first scan that needs
+it, and served as a tuple to every later scan at that (n, depth).  A scan
+keeps, per class, only X(w) pushed once through the image of beta, or of
+beta^-1, mod P (krammer._push_mod, one compiled kernel per letter).  Each
+test is then one flat dot: Y(w^-1) tau+(beta^+-1) X(w) for the two
 reducing tests, Y(v^-1) tau+(beta) X(w) for <v^*, beta w beta^-1>, and
 Y(v^-1) X(w) for <v^*, w>.  A nonzero dot certifies an exact nonzero; a
 candidate whose dots all vanish, both conditions of an exchange pair, is
@@ -74,10 +78,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import mul
 from typing import Iterator
 
-from .krammer import _push, _rows_mod, tau_plus
-from .modcheck import ModVector, dot_mod, x_column, y_row
+from .krammer import _push_mod, tau_plus
+from .modcheck import P, x_column, y_row
 from .pairing import pair_loops
 from .words import BraidWord, FreeWord, WordError
 
@@ -132,9 +138,11 @@ enumeration may walk."""
 
 
 def check_depth(n: int, depth: int) -> None:
-    """Reject a negative depth, or one with more than MAX_ENUM_WORDS raw
-    words of length depth.  The count grows one factor at a time, so a
-    huge depth fails at once."""
+    """Reject a strand count below 1, as BraidWord does, a negative depth,
+    or one with more than MAX_ENUM_WORDS raw words of length depth.  The
+    count grows one factor at a time, so a huge depth fails at once."""
+    if n < 1:
+        raise WordError(f"strand count must be >= 1, got {n}")
     if depth < 0:
         raise WordError("depth must be >= 0")
     width, count = 2 * (n - 1), 1
@@ -194,9 +202,76 @@ def _orbit(n: int, starts: list[tuple[FreeWord, ...]], depth: int) -> Iterator[t
 def enumerate_simple(n: int, depth: int) -> list[SimpleClass]:
     """The distinct act(beta, x_k) over all |beta| <= depth: the orbit of
     the states (x_k,), in raw-walk order (beta, then k), each class with
-    the first braid that produced it, a shortest witness (lex tie-break)."""
-    starts = [(FreeWord.generator(n, k),) for k in range(1, n + 1)]
-    return [SimpleClass(word, beta, root + 1) for (word,), beta, root in _orbit(n, starts, depth)]
+    the first braid that produced it, a shortest witness (lex tie-break).
+    A fresh list of the classes of the (n, depth) class table."""
+    return list(_class_table(n, depth).classes)
+
+
+# -- the class tables -------------------------------------------------------
+
+
+class _WordTable:
+    """The screen vectors of a fixed tuple of class words, by position k:
+    the flat row Y(w^-1) (modcheck.y_row) and the flat column X(w)
+    (modcheck.x_column) of the word w = words[k], as tuples, each formed
+    on first use.  They depend on the word alone, not on a braid."""
+
+    def __init__(self, words):
+        self.words: tuple[FreeWord, ...] = tuple(words)
+        self.index = {w: k for k, w in enumerate(self.words)}
+        self._rows: list[tuple | None] = [None] * len(self.words)
+        self._columns: list[tuple | None] = [None] * len(self.words)
+
+    def row(self, k: int) -> tuple:
+        row = self._rows[k]
+        if row is None:
+            row = self._rows[k] = tuple(y_row(self.words[k].inverse()))
+        return row
+
+    def column(self, k: int) -> tuple:
+        column = self._columns[k]
+        if column is None:
+            column = self._columns[k] = tuple(x_column(self.words[k]))
+        return column
+
+
+class _ClassTable(_WordTable):
+    """The simple classes of (n, depth), in enumeration order, with the
+    screen vectors of their words, and the joint orbit of strategy (i) of
+    an exchange scan, walked on first use."""
+
+    def __init__(self, n: int, depth: int):
+        starts = [(FreeWord.generator(n, k),) for k in range(1, n + 1)]
+        self.n, self.depth = n, depth
+        self.classes = tuple(
+            SimpleClass(word, beta, root + 1) for (word,), beta, root in _orbit(n, starts, depth)
+        )
+        super().__init__(sc.word for sc in self.classes)
+        self._joint: tuple | None = None
+
+    def joint(self) -> tuple[tuple[int, int, BraidWord], ...]:
+        """(i, j, psi) for the joint pairs (psi(x_{n-1}), psi(x_n)), |psi| <=
+        depth, in _orbit order, with i and j the positions of the two
+        words; each is a class of the table."""
+        if self._joint is None:
+            n = self.n
+            start = (FreeWord.generator(n, n - 1), FreeWord.generator(n, n))
+            self._joint = tuple(
+                (self.index[v], self.index[w], psi)
+                for (v, w), psi, _ in _orbit(n, [start], self.depth)
+            )
+        return self._joint
+
+
+CLASS_TABLES = 16
+"""The most (n, depth) class tables kept at once."""
+
+
+@lru_cache(maxsize=CLASS_TABLES)
+def _class_table(n: int, depth: int) -> _ClassTable:
+    """The class table of (n, depth), built once; check_depth bounds it."""
+    check_depth(n, depth)
+    return _ClassTable(n, depth)
 
 
 # -- verification ---------------------------------------------------------
@@ -204,58 +279,39 @@ def enumerate_simple(n: int, depth: int) -> list[SimpleClass]:
 
 class _BlockScreen:
     """The mod-P screen of the scans of one braid b, in the block
-    representation (see the module docstring).  Each class word w gets a
-    slot, slot(w), on first sight; per slot it keeps the flat row Y(w^-1)
-    (modcheck.y_row), the flat column X(w) (modcheck.x_column) and X(w)
-    pushed through the image of b^sign mod P, in lists, each formed on
-    first use.  No loop word of b is built for a candidate that the screen
-    clears."""
+    representation (see the module docstring), over the words of a table
+    (_WordTable), by position.  The table serves the rows Y(v^-1) and the
+    columns X(w); the screen keeps X(w) pushed through the image of
+    b^sign mod P, per position, formed on first use.  No loop word of b is
+    built for a candidate that the screen clears."""
 
-    def __init__(self, b: BraidWord):
+    def __init__(self, b: BraidWord, table: _WordTable):
         self.b = b
+        self.table = table
         self._letters = {1: b.letters[::-1], -1: b.inverse().letters[::-1]}
-        self._slots: dict[FreeWord, int] = {}
-        self.words: list[FreeWord] = []
-        self._rows: list[ModVector | None] = []
-        self._columns: dict[int, list[ModVector | None]] = {0: [], 1: [], -1: []}
+        self._pushed: dict[int, list] = {sign: [None] * len(table.words) for sign in (1, -1)}
 
-    def slot(self, w: FreeWord) -> int:
-        """The slot of the class word w, new on first sight."""
-        k = self._slots.get(w)
-        if k is None:
-            k = self._slots[w] = len(self.words)
-            self.words.append(w)
-            self._rows.append(None)
-            for columns in self._columns.values():
-                columns.append(None)
-        return k
-
-    def _column(self, j: int, sign: int) -> ModVector:
-        column = self._columns[sign][j]
+    def _column(self, j: int, sign: int):
+        if not sign:
+            return self.table.column(j)
+        pushed = self._pushed[sign]
+        column = pushed[j]
         if column is None:
-            if sign:
-                col = [self._column(j, 0)]
-                column = ModVector(_push(self.b.n, self._letters[sign], col, _rows_mod, dot_mod)[0])
-            else:
-                column = x_column(self.words[j])
-            self._columns[sign][j] = column
+            column = pushed[j] = _push_mod(self.b.n, self._letters[sign], self.table.column(j))
         return column
 
     def value(self, i: int, j: int, sign: int) -> int:
-        """Y(v^-1) . tau+(b^sign) X(w) mod P for the words v, w of slots i, j,
-        with no push for sign 0.  A nonzero value certifies that the pairing
-        decide() tests is exactly nonzero."""
-        row = self._rows[i]
-        if row is None:
-            row = self._rows[i] = y_row(self.words[i].inverse())
-        return row * self._column(j, sign)
+        """Y(v^-1) . tau+(b^sign) X(w) mod P for the words v, w at positions
+        i, j, with no push for sign 0.  A nonzero value certifies that the
+        pairing decide() tests is exactly nonzero."""
+        return sum(map(mul, self.table.row(i), self._column(j, sign))) % P
 
     def decide(self, i: int, j: int, sign: int) -> bool:
         """Exact zero test, on the loop words, of <[v^-1]_y, [b^sign(w)]_x>
-        for sign 0 or 1 and the words v, w of slots i, j, or, for sign -1
-        (i = j), of the negative reducing pairing <[b(w)^-1]_y, [w]_x>;
+        for sign 0 or 1 and the words v, w at positions i, j, or, for sign
+        -1 (i = j), of the negative reducing pairing <[b(w)^-1]_y, [w]_x>;
         b(w) is built only here."""
-        v, w = self.words[i], self.words[j]
+        v, w = self.table.words[i], self.table.words[j]
         if sign < 0:
             return pair_loops(self.b(w).inverse(), w).is_zero()
         return pair_loops(v.inverse(), self.b(w) if sign else w).is_zero()
@@ -308,9 +364,9 @@ def reducing_certificates(b: BraidWord, depth: int) -> Iterator[DetectionResult]
     tested first, then the negative-type one.  Every yielded certificate
     has been re-verified from scratch.
     """
-    screen = _BlockScreen(b)
-    for sc in enumerate_simple(b.n, depth):
-        k = screen.slot(sc.word)
+    table = _class_table(b.n, depth)
+    screen = _BlockScreen(b, table)
+    for k, sc in enumerate(table.classes):
         if not screen.value(k, k, 1) and screen.decide(k, k, 1):
             kind = REDUCE_POSITIVE
         elif not screen.value(k, k, -1) and screen.decide(k, k, -1):
@@ -347,17 +403,15 @@ def exchange_certificates(b: BraidWord, depth: int) -> Iterator[DetectionResult]
     if n < 3:
         raise WordError("exchange moves need n >= 3")
 
-    start = (FreeWord.generator(n, n - 1), FreeWord.generator(n, n))
-    screen = _BlockScreen(b)
-    joint: set[tuple[int, int]] = set()
+    table = _class_table(n, depth)
+    screen = _BlockScreen(b, table)
+    words = table.words
 
-    for (vw, ww), psi, _ in _orbit(n, [start], depth):
-        i, j = screen.slot(vw), screen.slot(ww)
-        joint.add((i, j))
+    for i, j, psi in table.joint():
         if screen.value(i, j, 1) or not screen.decide(i, j, 1):
             continue
-        v = SimpleClass(vw, psi, n - 1)
-        w = SimpleClass(ww, psi, n)
+        v = SimpleClass(words[i], psi, n - 1)
+        w = SimpleClass(words[j], psi, n)
         _reverify_exchange(b, v, w)
         yield DetectionResult(
             found=True,
@@ -367,10 +421,10 @@ def exchange_certificates(b: BraidWord, depth: int) -> Iterator[DetectionResult]
             joint_witness=psi,
         )
 
-    classes = enumerate_simple(n, depth)
-    slots = [screen.slot(sc.word) for sc in classes]
-    for v, i in zip(classes, slots):
-        for w, j in zip(classes, slots):
+    joint = {(i, j) for i, j, _ in table.joint()}
+    classes = table.classes
+    for i, v in enumerate(classes):
+        for j, w in enumerate(classes):
             # both conditions are screened before either is decided
             if (i, j) in joint or screen.value(i, j, 0) or screen.value(i, j, 1):
                 continue

@@ -31,13 +31,23 @@ acts on, and every other row keeps its nonzero entries.  _push runs flat
 columns through these tables, rightmost letter first, one
 magnus.apply_table step per letter, in any ring given the ring's dot
 product.  tau_plus_act pushes the n+1 flat columns of a block column,
-tau_plus assembles the matrix from its n block columns, entry reads one
-block of one column, and the identity screen pushes a probe column
-through the tables reduced mod P.  The exact tables are built on first
-use, once per (n, i, sign); every other form of them (mod P, the bounds
-and the packed shifts below) is made from them by magnus.map_table.
+tau_plus assembles the matrix from its n block columns, and entry reads
+one block of one column.  The exact tables are built on first use, once
+per (n, i, sign); every other form of them (mod P, the bounds and the
+packed shifts below) is made from them by magnus.map_table.
 BlockMatrix.__mul__, the generic block product, stays as the reference
 the tests hold them to.
+
+Mod P the push is the inner loop of the detection screen and of the
+identity screen, and a generic step spends most of its time reading the
+table, not multiplying.  So each mod-P table is compiled, on first use,
+into one straight-line function (_kernel_mod): the column is unpacked
+into locals, a copied row is a local, a computed row one sum of products
+taken mod P, and the table's entries are default arguments.  The source
+is written from the table's integer entries and row indices alone, never
+from user input, as dataclasses writes __init__.  _push_mod runs a column
+through the kernels, one call per letter, with the values of _push over
+the mod-P tables.
 
 The exact push (_push_exact) runs on integers, by Kronecker
 substitution (Kronecker 1882; Harvey 2009), in three steps:
@@ -72,12 +82,12 @@ letter before, the push raises WordError: an exact image too large to
 hold is refused rather than attempted.
 
 is_identity screens first: with the evaluation points and probe vectors
-of the modcheck module, u^T M v != u^T v mod P for the image M of b
-proves M != I, so b is nontrivial.  A braid the screen does not certify
-is decided by Artin's action on the free group F_n, which is faithful
-too (Artin 1925): b = 1 exactly when b(x_k) = x_k for k = 1 .. n.  The
-action runs rightmost letter first and stops at the first x_k that is
-not fixed.  The screen must come first: nontrivial words can blow up
+of the modcheck module, pushed by _push_mod, u^T M v != u^T v mod P for
+the image M of b proves M != I, so b is nontrivial.  A braid the screen
+does not certify is decided by Artin's action on the free group F_n,
+which is faithful too (Artin 1925): b = 1 exactly when b(x_k) = x_k for
+k = 1 .. n.  The action runs rightmost letter first and stops at the
+first x_k that is not fixed.  The screen must come first: nontrivial words can blow up
 under the action, while the trivial ones that reach it stay short.  Only
 when an intermediate word outgrows ACTION_LETTER_BUDGET is the block
 matrix multiplied out exactly.
@@ -91,7 +101,7 @@ from typing import Sequence
 
 from .laurent import ZERO, LaurentPoly
 from .magnus import MagnusElement, apply_table, map_table, row_table, tau
-from .modcheck import P, dot_mod, poly_mod, probe_vectors
+from .modcheck import P, poly_mod, probe_vectors
 from .words import BraidWord, FreeWord, WordError, act_letters
 
 
@@ -228,6 +238,42 @@ def _push(n: int, letters, vecs: list, tables, dot) -> list:
         table = tables(n, i, sign)
         vecs = [apply_table(table, vec, dot) for vec in vecs]
     return vecs
+
+
+@lru_cache(maxsize=None)
+def _kernel_mod(n: int, i: int, sign: int):
+    """_rows_mod(n, i, sign) compiled into one straight-line function of a
+    flat column mod P (see the module docstring), with the values of
+    apply_table(_rows_mod(n, i, sign), vec, modcheck.dot_mod)."""
+    copy, dense = _rows_mod(n, i, sign)
+    size = n * (n + 1)
+    rows = [f"a{k}" for k in copy(range(size))]
+    constants = {}
+    for c, live in dense:
+        terms = []
+        for k, g in live:
+            name = f"g{len(constants)}"
+            constants[name] = g
+            terms.append(f"{name} * a{k}")
+        rows[c] = f"({' + '.join(terms)}) % P"
+    params = "".join(f", {name}={name}" for name in constants)
+    source = (
+        f"def kernel(vec, P=P{params}):\n"
+        f"    {', '.join(f'a{k}' for k in range(size))}, = vec\n"
+        f"    return [{', '.join(rows)}]\n"
+    )
+    namespace = {"P": P, **constants}
+    exec(compile(source, f"<kernel_mod {n} {i} {sign}>", "exec"), namespace)
+    return namespace["kernel"]
+
+
+def _push_mod(n: int, letters, vec):
+    """A flat column mod P through the letters of a braid word on n strands,
+    in the order they act, one _kernel_mod per letter: the mod-P block push
+    of the detection screen and of the identity screen."""
+    for i, sign in letters:
+        vec = _kernel_mod(n, i, sign)(vec)
+    return vec
 
 
 # -- the exact push on Kronecker-packed integers ---------------------------
@@ -635,7 +681,7 @@ def certainly_not_identity(b: BraidWord) -> bool:
     """
     n = b.n
     u, v = probe_vectors(n * (n + 1))
-    (mv,) = _push(n, reversed(b.letters), [v], _rows_mod, dot_mod)
+    mv = _push_mod(n, reversed(b.letters), v)
     return sum(map(mul, u, mv)) % P != sum(map(mul, u, v)) % P
 
 

@@ -33,10 +33,12 @@ builder.  Each vector update costs at most O(n^2), not the O(n^3) of a
 matrix product.
 
 The word problem uses the same points, probes and reduction (probe_vectors,
-poly_mod, dot_mod): krammer.is_identity pushes a probe column of
-length n(n+1) through the block generator tables reduced mod P, one
-O(n^2)-sized update per letter, and u^T M v != u^T v certifies that the
-braid is nontrivial before any exact product is formed.
+poly_mod): krammer.is_identity pushes a probe column of length n(n+1)
+through the block generator tables reduced mod P, each compiled into a
+straight-line kernel (krammer._kernel_mod), one O(n^2)-sized update per
+letter, and u^T M v != u^T v certifies that the braid is nontrivial
+before any exact product is formed.  The detection screen pushes its
+columns through the same kernels.
 """
 
 from __future__ import annotations

@@ -190,6 +190,18 @@ def test_oversized_depths_rejected(capsys):
         assert code == EXIT_USAGE and "error" in err
 
 
+def test_strand_counts_below_one_rejected(capsys):
+    # refused, as BraidWord refuses them, before a class table is built
+    from braidmoves import detect
+
+    kept = detect._class_table.cache_info().currsize
+    for n in ("0", "-3"):
+        for depth in ("0", "1"):
+            code, out, err = run(capsys, "enumerate-simple", "-n", n, "--depth", depth)
+            assert code == EXIT_USAGE and "strand count" in err and not out
+    assert detect._class_table.cache_info().currsize == kept
+
+
 def test_negative_rewrite_depth_rejected(capsys):
     # refused whether or not the scan finds an exchange to rewrite: the
     # first braid has one at depth 2, the second none at depth 0

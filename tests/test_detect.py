@@ -115,10 +115,11 @@ def test_orbit_walk_equals_the_raw_walk():
             assert list(D._orbit(n, joint, depth)) == raw_walk(n, joint, depth), (n, depth)
 
 
-def test_enumeration_acts_once_per_letter_and_class(monkeypatch):
+def test_enumeration_acts_once_per_letter_and_class(monkeypatch, cold_tables):
     """The walk acts with each letter on each class it expands, and on
-    nothing else: no raw word is walked and the last level is not
-    expanded."""
+    nothing else: no raw word is walked, the last level is not expanded and
+    the joint orbit is not walked.  Enumerating again reads the class table
+    and acts on nothing."""
     calls = []
     call = BraidWord.__call__
 
@@ -134,6 +135,10 @@ def test_enumeration_acts_once_per_letter_and_class(monkeypatch):
         assert all(len(b) == 1 for b in calls)
         last = sum(len(sc.witness) == depth for sc in classes)
         assert len(calls) == 2 * (n - 1) * (len(classes) - last)
+        calls.clear()
+        again = enumerate_simple(n, depth)
+        assert again == classes and again is not classes
+        assert calls == []
 
 
 def test_braid_words_order():
@@ -159,6 +164,11 @@ def test_depth_bounds_checked_before_enumerating():
     assert peak < 200_000
     with pytest.raises(WordError):
         enumerate_simple(4, -1)
+    # strand counts below 1 are refused, as BraidWord refuses them
+    for n in (0, -3):
+        for fn in (check_depth, enumerate_simple, lambda n, depth: next(braid_words(n, depth))):
+            with pytest.raises(WordError, match="strand count"):
+                fn(n, 1)
     # the cap is on the (2(n-1))^depth words of the longest length
     for n in range(2, 8):
         width, depth = 2 * (n - 1), 0
@@ -443,10 +453,11 @@ def test_decision_does_not_read_the_y_terms_table(monkeypatch):
                 next(scan(b, 0))
 
 
-def test_warm_scans_sweep_no_one_letter_y_loop(monkeypatch):
+def test_warm_scans_sweep_no_one_letter_y_loop(monkeypatch, cold_tables):
     # once warm, the y-side of a one-letter loop comes from the tables of
     # pairing and modcheck, in the screen rows and the re-verification
-    # alike; longer loops are still swept
+    # alike; longer loops are still swept.  The class tables are cleared
+    # after the warm-up, so that the scans form their screen rows again
     import braidmoves.modcheck as MC
     import braidmoves.pairing as P
 
@@ -454,6 +465,7 @@ def test_warm_scans_sweep_no_one_letter_y_loop(monkeypatch):
     scans += [(reducing_certificates, BETA1, 0), (exchange_certificates, BETA2, 1)]
     for scan, b, depth in scans:
         list(scan(b, depth))
+    cold_tables()
     swept, read = [], []
 
     def recording(fn, log):
@@ -565,9 +577,11 @@ def test_block_screen_certificates_equal_the_loop_word_route():
     assert total > 500
 
 
-def test_long_braid_builds_no_loop_word_for_cleared_candidates(capsys, monkeypatch):
+def test_long_braid_builds_no_loop_word_for_cleared_candidates(capsys, monkeypatch, cold_tables):
     """(sigma_1 sigma_2^-1)^14 stretches a loop of length m to thousands of
-    letters; the block screen clears every candidate without acting on one."""
+    letters; the block screen clears every candidate without acting on one.
+    Only the enumeration of the class tables, built here, acts, by one
+    letter at a time."""
     text = " ".join(["1 -2"] * 14)
     acted = []
     call = BraidWord.__call__
@@ -588,6 +602,67 @@ def test_long_braid_builds_no_loop_word_for_cleared_candidates(capsys, monkeypat
         tracemalloc.stop()
     assert acted and all(len(b) <= 1 for b in acted)
     assert peak < 4_000_000
+
+
+# -- the class tables -----------------------------------------------------------------
+
+
+def certificate_records(b, depth):
+    """Every certificate of both scans, with witnesses and joint witnesses."""
+    scans = [reducing_certificates] + ([exchange_certificates] if b.n >= 3 else [])
+    return [records((r.kind, r.witnesses, r.joint_witness) for r in scan(b, depth)) for scan in scans]
+
+
+def test_warm_tables_give_the_certificates_of_cold_ones(cold_tables):
+    rng = random.Random(1503)
+    cases = [(b, 3) for b in (MORTON, BETA1, BETA2)]
+    for n, depth in ((3, 3), (4, 2), (5, 1)):
+        cases += [(rand_braid(rng, n, 8), depth) for _ in range(3)]
+    found = 0
+    for b, max_depth in cases:
+        for depth in range(max_depth + 1):
+            cold_tables()
+            cold = certificate_records(b, depth)
+            assert certificate_records(b, depth) == cold, (str(b), depth)
+            found += sum(map(len, cold))
+    assert found > 100
+
+
+def test_second_scan_builds_no_screen_vector_and_walks_no_orbit(monkeypatch, cold_tables):
+    # the second scan at the same (n, depth), of another braid, reads the
+    # table: the classes, the joint orbit, and the rows and columns, which
+    # are tuples
+    list(exchange_certificates(BETA1, 2))
+    list(reducing_certificates(BETA1, 2))
+    calls = []
+
+    def recording(fn):
+        def recorded(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+
+        return recorded
+
+    for name in ("x_column", "y_row", "_orbit"):
+        monkeypatch.setattr(D, name, recording(getattr(D, name)))
+    for b in (MORTON, BETA2):
+        assert list(exchange_certificates(b, 2))
+        list(reducing_certificates(b, 2))
+        assert enumerate_simple(4, 2)
+    assert calls == []
+    table = D._class_table(4, 2)
+    assert [sc.word for sc in table.classes] == list(table.words)
+    assert all(type(row) is tuple for row in table._rows)
+    assert all(type(column) is tuple for column in table._columns)
+    assert len(table.words) == len(table._rows) == len(table._columns)
+
+
+def test_class_tables_are_bounded():
+    info = D._class_table.cache_info()
+    assert info.maxsize == D.CLASS_TABLES == 16
+    for depth in range(D.CLASS_TABLES + 4):
+        D._class_table(1, depth)
+    assert D._class_table.cache_info().currsize == D.CLASS_TABLES
 
 
 # -- the rewrite --------------------------------------------------------------------

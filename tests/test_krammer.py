@@ -9,6 +9,9 @@ from braidmoves.homology import evaluate_x, fox_x, fox_y, tau_components_x
 from braidmoves.krammer import (
     BlockMatrix,
     _fixes_generators,
+    _kernel_mod,
+    _push,
+    _push_mod,
     _rows,
     _rows_mod,
     certainly_not_identity,
@@ -21,7 +24,7 @@ from braidmoves.krammer import (
 )
 from braidmoves.laurent import ZERO, LaurentPoly
 from braidmoves.magnus import MagnusElement, _dot, apply_table, tau
-from braidmoves.modcheck import P, dot_mod, poly_mod
+from braidmoves.modcheck import P, dot_mod, poly_mod, probe_vectors
 from braidmoves.pairing import pair, t_element
 from braidmoves.words import BraidWord, FreeWord, WordError, y_basis_word
 
@@ -534,6 +537,55 @@ def test_screen_answers_agree_with_the_exact_route():
             else:
                 assert exact, f"the screen missed {b!r}"
     assert certified >= 60
+
+
+def mod_vectors(rng, size, count):
+    """Seeded vectors mod P, with entries 0 and P - 1 among them, and one
+    vector of each."""
+    edge = [0, P - 1]
+    vecs = [[0] * size, [P - 1] * size]
+    vecs += [[rng.choice(edge) if rng.random() < 0.3 else rng.randrange(P) for _ in range(size)]
+             for _ in range(count)]
+    return vecs
+
+
+def test_mod_kernels_equal_the_mod_tables():
+    """Each compiled kernel gives the values of its table under dot_mod, on
+    every generator of B_2 .. B_6; a push of 40 letters through the kernels
+    equals the table push."""
+    rng = random.Random(1501)
+    for n in range(2, 7):
+        size = n * (n + 1)
+        for i in range(1, n):
+            for sign in (1, -1):
+                kernel = _kernel_mod(n, i, sign)
+                for vec in mod_vectors(rng, size, 6):
+                    assert kernel(vec) == apply_table(_rows_mod(n, i, sign), vec, dot_mod)
+                    assert kernel(tuple(vec)) == kernel(vec)
+        for vec in mod_vectors(rng, size, 3):
+            letters = [(rng.randrange(1, n), rng.choice((1, -1))) for _ in range(40)]
+            assert _push_mod(n, letters, vec) == _push(n, letters, [vec], _rows_mod, dot_mod)[0]
+
+
+def test_screen_verdicts_equal_the_table_push():
+    """certainly_not_identity, which pushes through the kernels, answers as
+    the probe pushed through the mod-P tables does, on relator products
+    (trivial), relator products with one flipped relator and random words."""
+    rng = random.Random(1502)
+    verdicts = set()
+    for _ in range(30):
+        n = rng.choice([3, 4, 5])
+        for b in (
+            conjugated_relators(rng, n, 3),
+            conjugated_relators(rng, n, 2) * flipped(rng, n),
+            rand_braid(rng, n, 12),
+        ):
+            u, v = probe_vectors(n * (n + 1))
+            (mv,) = _push(n, reversed(b.letters), [v], _rows_mod, dot_mod)
+            verdict = sum(x * y for x, y in zip(u, mv)) % P != sum(x * y for x, y in zip(u, v)) % P
+            assert certainly_not_identity(b) == verdict
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 # -- Artin's action and the block fallback ----------------------------------------------

@@ -20,6 +20,8 @@ from _tables import reference_entries, table_entries
 from braidmoves.detect import (
     REDUCE_POSITIVE,
     _BlockScreen,
+    _class_table,
+    _WordTable,
     enumerate_simple,
     exchange_certificates,
     reducing_certificates,
@@ -209,10 +211,11 @@ def test_classes_without_loops_go_to_the_exact_decision():
     assert not pair(yc, xc).is_zero()
 
 
-def test_detection_screens_each_candidate_once(monkeypatch):
-    """A scan sweeps each class once per side, pushes its column once per
-    sign of b and screens each test once; strategy (ii) of an exchange scan
-    skips the joint pairs that strategy (i) decided.  A candidate, a
+def test_detection_screens_each_candidate_once(monkeypatch, cold_tables):
+    """A class table sweeps each of its classes once per side, in the first
+    scan at its (n, depth) that needs them; a scan pushes the column of a
+    class once per sign of b and screens each test once; strategy (ii) of
+    an exchange scan skips the joint pairs that strategy (i) decided.  A candidate, a
     reducing move (w, sign) or an exchange pair (v, w), is decided exactly
     only when every test of it that was screened vanishes: strategy (ii)
     screens both conditions of a pair before it decides either.  Each
@@ -234,7 +237,7 @@ def test_detection_screens_each_candidate_once(monkeypatch):
         return is_zero(value)
 
     def recording(screen, i, j, sign):
-        decided.append((screen.words[i], screen.words[j], sign))
+        decided.append((screen.table.words[i], screen.table.words[j], sign))
         return decide(screen, i, j, sign)
 
     is_zero, decide = PairingValue.is_zero, D._BlockScreen.decide
@@ -243,11 +246,11 @@ def test_detection_screens_each_candidate_once(monkeypatch):
     monkeypatch.setattr(D, "x_column", counting(D.x_column, lambda w, _: ("x", w)))
     monkeypatch.setattr(D, "y_row", counting(D.y_row, lambda w, _: ("y", w)))
     monkeypatch.setattr(
-        D, "_push", counting(D._push, lambda n, letters, vecs, *_: ("push", tuple(letters), tuple(vecs[0])))
+        D, "_push_mod", counting(D._push_mod, lambda n, letters, vec, _: ("push", tuple(letters), tuple(vec)))
     )
 
     def screen_key(s, i, j, sign, out):
-        return ("screen", s.words[i], s.words[j], sign, out != 0)
+        return ("screen", s.table.words[i], s.table.words[j], sign, out != 0)
 
     monkeypatch.setattr(D._BlockScreen, "value", counting(D._BlockScreen.value, screen_key))
     for scan, depth in ((reducing_certificates, 0), (reducing_certificates, 1), (exchange_certificates, 1)):
@@ -256,7 +259,10 @@ def test_detection_screens_each_candidate_once(monkeypatch):
         exact.clear()
         assert list(scan(BETA2, depth))
         kinds = Counter(key[0] for key in calls)
-        assert kinds["push"] and kinds["x"] and kinds["y"]
+        assert kinds["push"]
+        # the exchange scan at depth 1 finds the rows and columns formed by
+        # the reducing scan at depth 1, in the same table
+        assert bool(kinds["x"] and kinds["y"]) == (scan is reducing_certificates)
         assert set(calls.values()) == {1}
 
         def candidate(v, w, sign):
@@ -322,9 +328,15 @@ def block_tests(b, v, w):
     )
 
 
+def word_screen(b, *words):
+    """_BlockScreen(b) over a table of these words, each once."""
+    return _BlockScreen(b, _WordTable(dict.fromkeys(words)))
+
+
 def screened(screen, v, w, sign):
-    """The block screen's value for the class words v, w."""
-    return screen.value(screen.slot(v), screen.slot(w), sign)
+    """The block screen's value for the class words v, w of its table."""
+    index = screen.table.index
+    return screen.value(index[v], index[w], sign)
 
 
 def probed(m, n):
@@ -357,7 +369,7 @@ def test_block_screen_value_is_the_probed_exact_value():
         n = rng.randrange(3, 6)
         b = rand_braid(rng, n, 6)
         v, w = simple_loop(rng, n, 3), simple_loop(rng, n, 3)
-        screen = _BlockScreen(b)
+        screen = word_screen(b, v, w)
         binv = b.inverse()
         assert screened(screen, v, w, 0) == probed(evaluate_loops(v.inverse(), w), n)
         assert screened(screen, v, w, 1) == probed(evaluate_loops(v.inverse(), b(w)) * tau(b), n)
@@ -374,16 +386,17 @@ def test_block_screen_never_clears_a_known_zero():
     for n in (3, 4, 5):
         for _ in range(4):
             psi, b = rand_braid(rng, n, 4), rand_braid(rng, n, 4)
-            screen = _BlockScreen(b)
-            for i in range(1, n + 1):
-                for j in range(i + 1, n + 1):
-                    v, w = psi(FreeWord.generator(n, i)), psi(FreeWord.generator(n, j))
+            words = [psi(FreeWord.generator(n, i)) for i in range(1, n + 1)]
+            screen = word_screen(b, *words, *map(b, words))
+            for i in range(n):
+                for j in range(i + 1, n):
+                    v, w = words[i], words[j]
                     assert not screened(screen, v, w, 0)
                     assert not screened(screen, b(v), w, 1)
     kinds = set()
     for b in (BETA2, BETA2.inverse()):
-        screen = _BlockScreen(b)
         certs = list(reducing_certificates(b, 0))
+        screen = word_screen(b, *(cert.witnesses[0].word for cert in certs))
         assert len(certs) == 3
         for cert in certs:
             w = cert.witnesses[0].word
@@ -408,7 +421,7 @@ def test_block_verdict_equals_full_matrix_verdict():
             v = b(v) if rng.random() < 0.5 else v
         else:
             v, w = simple_loop(rng, n, 4), simple_loop(rng, n, 4)
-        screen = _BlockScreen(b)
+        screen = word_screen(b, v, w)
         for sign, yc, xc, yloop, xloop in block_tests(b, v, w):
             verdict = screened(screen, yc, xc, sign) != 0
             assert verdict == matrix_verdict(yloop, xloop), (str(b), str(yc), str(xc), sign)
@@ -418,23 +431,25 @@ def test_block_verdict_equals_full_matrix_verdict():
 
 def test_block_screen_verdicts_equal_loop_screen_verdicts():
     """The screen of a scan keeps the vectors of each class for every test
-    that uses it; its verdicts equal the one-shot loop-word screen's on the
-    loops each test decides, and each class is swept once per side."""
+    that uses it, and its table the vectors that hold for every braid; its
+    verdicts equal the one-shot loop-word screen's on the loops each test
+    decides, and each class is swept once per side."""
     rng = random.Random(1104)
     n = 4
     classes = [sc.word for sc in enumerate_simple(n, 1)]
     verdicts = set()
     for b in (rand_braid(rng, n, 6), BETA2):
-        screen = _BlockScreen(b)
+        screen = _BlockScreen(b, _class_table(n, 1))
         for v in classes:
             for w in classes:
                 for sign, yc, xc, yloop, xloop in block_tests(b, v, w):
                     verdict = screened(screen, yc, xc, sign) != 0
                     assert verdict == loop_pairing_certainly_nonzero(yloop, xloop)
                     verdicts.add(verdict)
-        assert len(screen.words) == len(classes)
-        assert sum(row is not None for row in screen._rows) == len(classes)
-        formed = [col for cols in screen._columns.values() for col in cols if col is not None]
+        table = screen.table
+        assert table.words == tuple(classes)
+        assert sum(row is not None for row in table._rows) == len(classes)
+        formed = [col for cols in (table._columns, *screen._pushed.values()) for col in cols if col is not None]
         assert len(formed) == 3 * len(classes)
     assert verdicts == {True, False}
 
