@@ -25,29 +25,35 @@ the cross-validation invariants in the test suite.
 
 The products do not multiply blocks.  Each generator image is flattened
 to an n(n+1) x n(n+1) matrix and kept as a table of its rows, in the one
-sparse format that the mod-p screen uses too (magnus.row_table): a row
-whose only nonzero entry is one is a copy of one entry of the column it
-acts on, and every other row keeps its nonzero entries.  _push runs flat
-columns through these tables, rightmost letter first, one
-magnus.apply_table step per letter, in any ring given the ring's dot
-product.  tau_plus_act pushes the n+1 flat columns of a block column,
-tau_plus assembles the matrix from its n block columns, and entry reads
-one block of one column.  The exact tables are built on first use, once
-per (n, i, sign); every other form of them (mod P, the bounds and the
-packed shifts below) is made from them by magnus.map_table.
-BlockMatrix.__mul__, the generic block product, stays as the reference
-the tests hold them to.
+sparse format that the mod-p screen uses too (magnus.row_table), read off
+the blocks of each block row that are not zero: a row whose only nonzero
+entry is one is a copy of one entry of the column it acts on, and every
+other row keeps its nonzero entries.  The exact tables are built on first
+use, once per (n, i, sign); the mod-P tables and the bounds below are made
+from them by magnus.map_table.  tau_plus_act pushes the n+1 flat columns
+of a block column, tau_plus assembles the matrix from its n block columns,
+and entry reads one block of one column.  BlockMatrix.__mul__, the generic
+block product, stays as the reference the tests hold them to.
 
-Mod P the push is the inner loop of the detection screen and of the
-identity screen, and a generic step spends most of its time reading the
-table, not multiplying.  So each mod-P table is compiled, on first use,
-into one straight-line function (_kernel_mod): the column is unpacked
-into locals, a copied row is a local, a computed row one sum of products
-taken mod P, and the table's entries are default arguments.  The source
-is written from the table's integer entries and row indices alone, never
-from user input, as dataclasses writes __init__.  _push_mod runs a column
-through the kernels, one call per letter, with the values of _push over
-the mod-P tables.
+A generic step of the push spends most of its time reading the table, not
+multiplying, so each table is compiled, on first use, into one
+straight-line function of a flat column, called once per letter: the
+column is unpacked into locals, a copied row is a local, and a computed
+row is one expression.  Mod P (_kernel_mod, pushed by _push_mod in the
+detection and identity screens) the expression is a sum of products
+taken mod P, and the table's entries are default arguments.  On packed
+integers (_kernel_exact, pushed by _push_exact below) a term c q^a t^e of
+an entry shifts the packed entry a_k by s (a W + e) bits in the layout
+(s, W) of the stretch, so the expression is a sum of +-(a_k << S_m),
++-(a_k >> S_m) and c * (...) terms, each shifted entry computed once, as
+a local, for all the rows that use it.  The magnitudes S, one per monomial
+q^a t^e of the kernel's table, are worked out once per stretch and kernel
+(_shifts); the direction of each is fixed when the kernel is compiled,
+sign(a) when a != 0 and sign(e) otherwise.  That holds in every layout
+because every term has |e| <= 1 <= W, which the kernel checks when it is
+compiled and _shifts at every stretch.  The source is written from the tables' integer
+entries and row indices alone, never from user input, as dataclasses
+writes __init__, and at most _KERNELS kernels of each kind are kept.
 
 The exact push (_push_exact) runs on integers, by Kronecker
 substitution (Kronecker 1882; Harvey 2009), in three steps:
@@ -56,14 +62,14 @@ substitution (Kronecker 1882; Harvey 2009), in three steps:
   the largest absolute value of a coefficient, and the least and greatest
   exponents of q and of t.  A computed row gets sum |g|_1 * bound over its
   entries g, with the exponent ranges shifted by those of g.  Over the
-  steps of a stretch (below) this gives a coefficient bound, and so a slot width s (its bits
-  and a sign bit, in whole bytes), and an exponent window q0..q1, t0..t1.
+  steps of a stretch (below) this gives a coefficient bound, and so a
+  slot width s (its bits and a sign bit, in whole bytes), and an exponent
+  window q0..q1, t0..t1.
 * Each entry is packed into one integer, sum c 2^(s ((a - q0) W + e - t0))
-  over its terms c q^a t^e, with W = t1 - t0 + 1; the tables' entries,
-  converted once per stretch, act as one shift per term.  A right shift (a
-  negative exponent) is exact because no term of any step leaves the
-  window, and no slot can overflow because the coefficients stay within
-  the bound.
+  over its terms c q^a t^e, with W = t1 - t0 + 1; the compiled kernels act
+  as one shift per term.  A right shift (a negative exponent) is exact
+  because no term of any step leaves the window, and no slot can overflow
+  because the coefficients stay within the bound.
 * Only the blocks the caller returns are unpacked: adding 2^(s-1) to
   every slot leaves each slot's digit c + 2^(s-1) in its own s bits, read
   off one to_bytes of the entry.
@@ -100,7 +106,7 @@ from operator import mul
 from typing import Sequence
 
 from .laurent import ZERO, LaurentPoly
-from .magnus import MagnusElement, apply_table, map_table, row_table, tau
+from .magnus import MagnusElement, apply_table, map_table, sparse_row_table, tau
 from .modcheck import P, poly_mod, probe_vectors
 from .words import BraidWord, FreeWord, WordError, act_letters
 
@@ -183,29 +189,36 @@ class BlockMatrix:
 
 
 @lru_cache(maxsize=None)
-def tau_plus_generator(n: int, i: int, sign: int = 1) -> BlockMatrix:
-    """The block matrix of sigma_i^sign acting on e_1 .. e_n."""
+def _generator_blocks(n: int, i: int, sign: int) -> tuple:
+    """The blocks of sigma_i^sign acting on e_1 .. e_n that are not zero,
+    block row by block row: for each row (0-based), its (column, block)
+    pairs in increasing column."""
     if not 1 <= i <= n - 1:
         raise WordError(f"sigma_{i} out of range 1..{n - 1}")
     ts = tau(BraidWord.generator(n, i, sign))
     one = MagnusElement.identity(n + 1)
-    zero = MagnusElement.zero(n + 1)
-    rows = [[ts if r == c else zero for c in range(n)] for r in range(n)]
+    txj = tau(FreeWord.generator(n, i + 1))
+    rows = [((r, ts),) for r in range(n)]
     a, b = i - 1, i  # 0-based block indices for basis elements e_i, e_{i+1}
     if sign == 1:
-        txj = tau(FreeWord.generator(n, i + 1))
-        rows[a][a] = zero
-        rows[a][b] = ts * tau(FreeWord.generator(n, i))
-        rows[b][a] = ts
-        rows[b][b] = ts * (one - txj)
+        rows[a] = ((b, ts * tau(FreeWord.generator(n, i))),)
+        rows[b] = ((a, ts), (b, ts * (one - txj)))
     else:
         back = tau(FreeWord.generator(n, i, -1)) * ts  # tau(x_i^-1 sigma_i^-1)
-        txj = tau(FreeWord.generator(n, i + 1))
-        rows[a][a] = -(one - txj) * back
-        rows[a][b] = ts
-        rows[b][a] = back
-        rows[b][b] = zero
-    return BlockMatrix(n, tuple(tuple(r) for r in rows))
+        rows[a] = ((a, -(one - txj) * back), (b, ts))
+        rows[b] = ((a, back),)
+    return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def tau_plus_generator(n: int, i: int, sign: int = 1) -> BlockMatrix:
+    """The block matrix of sigma_i^sign acting on e_1 .. e_n."""
+    zero = MagnusElement.zero(n + 1)
+    grid = [[zero] * n for _ in range(n)]
+    for r, brow in enumerate(_generator_blocks(n, i, sign)):
+        for c, block in brow:
+            grid[r][c] = block
+    return BlockMatrix(n, grid)
 
 
 # -- the sparse action (see the module docstring) --------------------------
@@ -214,12 +227,15 @@ def tau_plus_generator(n: int, i: int, sign: int = 1) -> BlockMatrix:
 @lru_cache(maxsize=None)
 def _rows(n: int, i: int, sign: int) -> tuple:
     """The table of sigma_i^sign acting on a flat column on the left; flat
-    row r(n+1) + a holds row a of the blocks in block row r."""
-    blocks = tau_plus_generator(n, i, sign).blocks
-    return row_table(
-        [p for block in brow for p in block.entries[a]]
-        for brow in blocks
-        for a in range(n + 1)
+    row r(n+1) + a holds row a of the blocks in block row r, read off the
+    blocks of that row that are not zero."""
+    m = n + 1
+    return sparse_row_table(
+        tuple(
+            (c * m + k, g) for c, block in brow for k, g in enumerate(block.entries[a]) if g
+        )
+        for brow in _generator_blocks(n, i, sign)
+        for a in range(m)
     )
 
 
@@ -229,18 +245,19 @@ def _rows_mod(n: int, i: int, sign: int) -> tuple:
     return map_table(_rows(n, i, sign), poly_mod)
 
 
-def _push(n: int, letters, vecs: list, tables, dot) -> list:
-    """Flat columns through the letters of a braid word on n strands, in
-    the order they act (rightmost letter of the word first), in any ring:
-    tables(n, i, sign) gives the generator tables, and dot the ring's dot
-    product (see magnus.apply_table)."""
-    for i, sign in letters:
-        table = tables(n, i, sign)
-        vecs = [apply_table(table, vec, dot) for vec in vecs]
-    return vecs
+_KERNELS = 64
+"""The compiled kernels kept of each kind, least recently used first out:
+every generator of B_3 .. B_5 in both signs (18) and room for more."""
 
 
-@lru_cache(maxsize=None)
+def _compiled(name: str, source: str, namespace: dict):
+    """The function kernel that source defines, compiled under the given
+    name; namespace holds its constants."""
+    exec(compile(source, f"<{name}>", "exec"), namespace)
+    return namespace["kernel"]
+
+
+@lru_cache(maxsize=_KERNELS)
 def _kernel_mod(n: int, i: int, sign: int):
     """_rows_mod(n, i, sign) compiled into one straight-line function of a
     flat column mod P (see the module docstring), with the values of
@@ -262,9 +279,7 @@ def _kernel_mod(n: int, i: int, sign: int):
         f"    {', '.join(f'a{k}' for k in range(size))}, = vec\n"
         f"    return [{', '.join(rows)}]\n"
     )
-    namespace = {"P": P, **constants}
-    exec(compile(source, f"<kernel_mod {n} {i} {sign}>", "exec"), namespace)
-    return namespace["kernel"]
+    return _compiled(f"kernel_mod {n} {i} {sign}", source, {"P": P, **constants})
 
 
 def _push_mod(n: int, letters, vec):
@@ -425,22 +440,58 @@ def _too_large(n: int, size: int) -> WordError:
     )
 
 
-def _packed_dot(live, vec) -> int:
-    """sum g * vec[k] on packed integers, each g given by its (shift, coeff)
-    terms: the term c q^a t^e shifts every slot by a W + e."""
-    acc = 0
-    for k, terms in live:
-        x = vec[k]
-        if x:
-            for shift, c in terms:
-                y = x << shift if shift >= 0 else x >> -shift
-                if c == 1:
-                    acc += y
-                elif c == -1:
-                    acc -= y
+def _direction(a: int, e: int) -> int:
+    """The sign of the shift s (a W + e) of the term q^a t^e in every layout
+    (s, W): sign(a) when a != 0, else sign(e), since |e| <= 1 <= W."""
+    return (a > 0) - (a < 0) if a else (e > 0) - (e < 0)
+
+
+def _shifts(monomials, s: int, w: int) -> tuple:
+    """S for a kernel whose terms have these monomials (a, e), in the
+    layout with slot bits s and window width w: |s (a W + e)| for each."""
+    shifts = tuple(_direction(a, e) * s * (a * w + e) for a, e in monomials)
+    if min(shifts, default=0) < 0:
+        raise RuntimeError(f"a compiled shift changes direction at window width {w}")
+    return shifts
+
+
+@lru_cache(maxsize=_KERNELS)
+def _kernel_exact(n: int, i: int, sign: int):
+    """_rows(n, i, sign) compiled into one straight-line function of a
+    packed flat column and the shifts S of its layout (see the module
+    docstring).  A term c q^a t^e of an entry shifts a_k by S[m], to the
+    left or to the right as _direction fixes, where m is the place of
+    (a, e) in kernel.monomials; q^0 t^0 does not shift."""
+    copy, dense = _rows(n, i, sign)
+    size = n * (n + 1)
+    rows = [f"a{k}" for k in copy(range(size))]
+    monomials, shifted = {}, {}
+    for c, live in dense:
+        terms = []
+        for k, g in live:
+            for (a, e), coeff in g._terms.items():
+                if abs(e) > 1:
+                    raise ValueError(f"sigma_{i}^{sign} on {n} strands has a term t^{e}")
+                if a or e:
+                    m = monomials.setdefault((a, e), len(monomials))
+                    term = f"b{k}_{m}"
+                    shifted[term] = f"a{k} {'<<' if _direction(a, e) > 0 else '>>'} s{m}"
                 else:
-                    acc += c * y
-    return acc
+                    term = f"a{k}"
+                if abs(coeff) != 1:
+                    term = f"{abs(coeff)} * {term}"
+                terms.append(("- " if coeff < 0 else "+ ") + term)
+        rows[c] = " ".join(terms).removeprefix("+ ")
+    source = (
+        f"def kernel(vec, S):\n"
+        f"    {', '.join(f'a{k}' for k in range(size))}, = vec\n"
+        f"    {''.join(f's{m}, ' for m in range(len(monomials)))}= S\n"
+        + "".join(f"    {b} = {x}\n" for b, x in shifted.items())
+        + f"    return [{', '.join(rows)}]\n"
+    )
+    kernel = _compiled(f"kernel_exact {n} {i} {sign}", source, {})
+    kernel.monomials = tuple(monomials)
+    return kernel
 
 
 def _push_exact(n: int, letters: Sequence, vecs: list, keep: Sequence[int]) -> list:
@@ -464,17 +515,11 @@ def _push_exact(n: int, letters: Sequence, vecs: list, keep: Sequence[int]) -> l
         else:
             vecs = [[_reslot(x, bound, layout, new) for x, bound in zip(vec, bounds)] for vec in vecs]
         layout = new
-        tables: dict = {}
-
-        def packed(n, i, sign):
-            if (i, sign) not in tables:
-                tables[i, sign] = map_table(
-                    _rows(n, i, sign),
-                    lambda g: tuple((s * (a * w + e), c) for (a, e), c in g._terms.items()),
-                )
-            return tables[i, sign]
-
-        vecs = _push(n, letters[start:stop], vecs, packed, _packed_dot)
+        kernels = [_kernel_exact(n, i, sign) for i, sign in letters[start:stop]]
+        shifts = {kernel: _shifts(kernel.monomials, s, w) for kernel in set(kernels)}
+        for kernel in kernels:
+            S = shifts[kernel]
+            vecs = [kernel(vec, S) for vec in vecs]
         if stop == len(letters):
             return [[_unpack(vec[r], pushed[r], layout) for r in keep] for vec in vecs]
         # the next stretch starts from the true values, bounded in place

@@ -180,14 +180,19 @@ def _dot(live_row: list[tuple[int, LaurentPoly]], col: tuple[LaurentPoly, ...]) 
 # pairing fold (pairing, on RowMatrix rows) and the mod-p screen
 # (modcheck) keep every generator image in this one format.  A table is
 # built once, from exact entries, and map_table carries it to another ring
-# or form (entries mod p, norm bounds, packed shifts), entry by entry.
+# or form (entries mod p, norm bounds), entry by entry.
 
 
 def row_table(rows) -> tuple:
     """The table of the matrix with these rows (exact entries)."""
+    return sparse_row_table(tuple((k, g) for k, g in enumerate(line) if g) for line in rows)
+
+
+def sparse_row_table(lives) -> tuple:
+    """The table of the matrix whose rows have these nonzero (k, g)
+    entries, in increasing k: row_table without the scan for zeros."""
     copy, dense = [], []
-    for c, line in enumerate(rows):
-        live = tuple((k, g) for k, g in enumerate(line) if g)
+    for c, live in enumerate(lives):
         if len(live) == 1 and live[0][1] == ONE:
             copy.append(live[0][0])
         else:

@@ -1,15 +1,24 @@
-"""Entry-by-entry references for the sparse generator tables.
+"""Entry-by-entry references for the sparse generator tables, and the
+table route of the block push.
 
 A table (magnus.row_table) lists, for each row of a matrix, either the one
 column the row copies or the row's nonzero entries.  The tests read a
 table as the map {(row, col): entry} and compare it with the same map
 built here straight from the rows of the matrix, one entry at a time,
 with each entry of a computed row converted by a given function.
+
+The compiled kernels of krammer are held to the table route: push runs
+flat columns through the tables one magnus.apply_table step per letter,
+in any ring given its dot product, and packed_table and packed_dot are
+the exact tables on Kronecker-packed integers, each entry a list of
+shifts.
 """
 
 from __future__ import annotations
 
+from braidmoves.krammer import _rows
 from braidmoves.laurent import ONE
+from braidmoves.magnus import apply_table, map_table
 
 COPY = "copy"
 
@@ -39,3 +48,40 @@ def reference_entries(rows, convert) -> dict:
             for k, g in live:
                 out[r, k] = convert(g)
     return out
+
+
+def push(n: int, letters, vecs: list, tables, dot) -> list:
+    """Flat columns through the letters of a braid word on n strands, in
+    the order they act (rightmost letter of the word first): tables(n, i,
+    sign) gives the generator tables, and dot the ring's dot product."""
+    for i, sign in letters:
+        table = tables(n, i, sign)
+        vecs = [apply_table(table, vec, dot) for vec in vecs]
+    return vecs
+
+
+def packed_table(n: int, i: int, sign: int, s: int, w: int) -> tuple:
+    """_rows(n, i, sign) on integers packed with slot bits s and window
+    width w: each entry g as its (shift, coeff) terms, the term c q^a t^e
+    shifting every slot by a w + e."""
+    return map_table(
+        _rows(n, i, sign), lambda g: tuple((s * (a * w + e), c) for (a, e), c in g._terms.items())
+    )
+
+
+def packed_dot(live, vec) -> int:
+    """sum g * vec[k] on packed integers, each g given by its (shift,
+    coeff) terms."""
+    acc = 0
+    for k, terms in live:
+        x = vec[k]
+        if x:
+            for shift, c in terms:
+                y = x << shift if shift >= 0 else x >> -shift
+                if c == 1:
+                    acc += y
+                elif c == -1:
+                    acc -= y
+                else:
+                    acc += c * y
+    return acc

@@ -4,13 +4,13 @@ import tracemalloc
 import pytest
 
 import braidmoves.krammer as K
-from _tables import reference_entries, table_entries
+from _tables import packed_dot, packed_table, push, reference_entries, table_entries
 from braidmoves.homology import evaluate_x, fox_x, fox_y, tau_components_x
 from braidmoves.krammer import (
     BlockMatrix,
     _fixes_generators,
+    _kernel_exact,
     _kernel_mod,
-    _push,
     _push_mod,
     _rows,
     _rows_mod,
@@ -373,6 +373,98 @@ def test_long_relator_products_are_pushed_in_stretches(monkeypatch):
             assert r_nn.is_zero()
 
 
+def packed_columns(rng, n, layout, es):
+    """Four flat columns packed in layout, with coefficients of either
+    sign that fill up to s - 2 bits of their s-bit slots and t-exponents
+    from es, zero entries among them."""
+    s, w, q0, t0 = layout
+    size = n * (n + 1)
+    vecs = []
+    for _ in range(4):
+        polys = [
+            LaurentPoly({
+                (rng.randrange(-2, 3), rng.choice(es)):
+                rng.choice([1, -1]) * rng.randrange(1, 2 ** rng.choice([1, 8, s - 2]))
+                for _ in range(rng.randrange(0, 4))
+            })
+            for _ in range(size)
+        ]
+        window = [1, q0, q0 + 12, t0, t0 + w - 1]
+        vecs.append([K._pack(p, window, layout) for p in polys])
+    return vecs
+
+
+def test_exact_kernels_equal_the_packed_tables():
+    """Each compiled exact kernel gives the values of its table on packed
+    integers under the table route, for every generator of B_3 .. B_6, in
+    layouts of one t-exponent (W = 1, where q^1 t^-1 does not shift) and of
+    several, with 16-, 24- and 80-bit slots for coefficients of either sign."""
+    rng = random.Random(1601)
+    for n in range(3, 7):
+        for i in range(1, n):
+            for sign in (1, -1):
+                kernel = _kernel_exact(n, i, sign)
+                for layout, es in (((16, 1, -6, 0), [0]), ((80, 1, -6, 2), [2]),
+                                   ((80, 5, -6, -2), [-1, 0, 1]), ((24, 3, -6, -1), [-1, 0, 1])):
+                    s, w, _, _ = layout
+                    shifts = K._shifts(kernel.monomials, s, w)
+                    table = packed_table(n, i, sign, s, w)
+                    for vec in packed_columns(rng, n, layout, es):
+                        assert kernel(vec, shifts) == apply_table(table, vec, packed_dot)
+                        assert kernel(tuple(vec), shifts) == kernel(vec, shifts)
+
+
+def test_long_products_push_through_kernels_as_through_tables(monkeypatch):
+    """Every kernel call of a push of more than three stretches, on the
+    long relator products of the stretch test above, equals the packed
+    table of its layout under the table route."""
+    rng = random.Random(56)
+    layouts, calls = {}, [0]
+    shifts, kernel_exact = K._shifts, K._kernel_exact
+
+    def recorded(monomials, s, w):
+        out = shifts(monomials, s, w)
+        layouts[monomials, out] = s, w
+        return out
+
+    def checked(n, i, sign):
+        kernel = kernel_exact(n, i, sign)
+
+        def run(vec, S):
+            out = kernel(vec, S)
+            layout = layouts[kernel.monomials, S]
+            assert out == apply_table(packed_table(n, i, sign, *layout), vec, packed_dot)
+            calls[0] += 1
+            return out
+
+        run.monomials = kernel.monomials
+        return run
+
+    monkeypatch.setattr(K, "_shifts", recorded)
+    monkeypatch.setattr(K, "_kernel_exact", checked)
+    for n, strands in ((3, 3), (4, 3)):
+        s = BraidWord.generator(n, n - 1, -1)
+        b = conjugated_relator_product(rng, n, 28, strands) * s
+        b = b * conjugated_relator_product(rng, n, 28, strands)
+        layouts.clear()
+        calls[0] = 0
+        assert entry(b, n, n).is_zero()  # b equals s_{n-1}^-1 in B_n
+        assert len(set(layouts.values())) > 3 and calls[0] == (n + 1) * len(b)
+
+
+def test_kernel_caches_hold_every_small_generator():
+    """The bounded kernel caches keep every generator of B_3 .. B_5 in both
+    signs, of either kind: a second round compiles nothing."""
+    generators = [(n, i, sign) for n in (3, 4, 5) for i in range(1, n) for sign in (1, -1)]
+    for cache in (_kernel_mod, _kernel_exact):
+        for g in generators:
+            cache(*g)
+        misses = cache.cache_info().misses
+        for g in generators:
+            cache(*g)
+        assert cache.cache_info().misses == misses
+
+
 def test_oversized_exact_products_rejected(monkeypatch):
     # a column whose own exponents span 2 x 10^7 powers of q is refused
     # before the first letter
@@ -470,6 +562,23 @@ def test_generator_tables_equal_their_entry_by_entry_reference():
                     assert table_entries(table, n * (n + 1)) == reference_entries(rows, convert)
 
 
+def test_generator_tables_are_read_off_their_nonzero_blocks(monkeypatch):
+    """On B_60 the tables of a three-letter braid visit at most two blocks
+    of n + 1 entries per flat row, about 0.8 M nonzero tests in all, where
+    a scan of the flattened matrices makes (n(n+1))^2 = 13.4 M per table."""
+    n = 60
+    tests = [0]
+    nonzero = LaurentPoly.__bool__
+
+    def counted(p):
+        tests[0] += 1
+        return nonzero(p)
+
+    monkeypatch.setattr(LaurentPoly, "__bool__", counted)
+    assert not is_identity(BraidWord.parse("1 -2 3", n))
+    assert tests[0] < 3 * 2 * n * (n + 1) ** 2
+
+
 # -- the mod-p identity screen ---------------------------------------------------------
 
 
@@ -564,7 +673,7 @@ def test_mod_kernels_equal_the_mod_tables():
                     assert kernel(tuple(vec)) == kernel(vec)
         for vec in mod_vectors(rng, size, 3):
             letters = [(rng.randrange(1, n), rng.choice((1, -1))) for _ in range(40)]
-            assert _push_mod(n, letters, vec) == _push(n, letters, [vec], _rows_mod, dot_mod)[0]
+            assert _push_mod(n, letters, vec) == push(n, letters, [vec], _rows_mod, dot_mod)[0]
 
 
 def test_screen_verdicts_equal_the_table_push():
@@ -581,7 +690,7 @@ def test_screen_verdicts_equal_the_table_push():
             rand_braid(rng, n, 12),
         ):
             u, v = probe_vectors(n * (n + 1))
-            (mv,) = _push(n, reversed(b.letters), [v], _rows_mod, dot_mod)
+            (mv,) = push(n, reversed(b.letters), [v], _rows_mod, dot_mod)
             verdict = sum(x * y for x, y in zip(u, mv)) % P != sum(x * y for x, y in zip(u, v)) % P
             assert certainly_not_identity(b) == verdict
             verdicts.add(verdict)
