@@ -42,18 +42,16 @@ from .magnus import (
     MagnusElement,
     burau_block,
     deg,
-    rho_generator,
     rho_sigma,
     rho_x,
     tau,
     unreduced_burau,
 )
-from .pairing import PairingValue, is_zero_pairing, pair, t_element, x_prefix
+from .pairing import PairingValue, pair, t_element, x_prefix
 from .words import (
     BraidWord,
     FreeWord,
     WordError,
-    act_braid_on_free,
     y_basis_word,
 )
 
@@ -82,7 +80,6 @@ __all__ = [
     "T",
     "WordError",
     "ZERO",
-    "act_braid_on_free",
     "braid_words",
     "burau_block",
     "deg",
@@ -96,12 +93,10 @@ __all__ = [
     "fox_x",
     "fox_y",
     "is_identity",
-    "is_zero_pairing",
     "left_action",
     "left_action_y",
     "pair",
     "rewrite_exchange",
-    "rho_generator",
     "rho_sigma",
     "rho_x",
     "special_form_tests",

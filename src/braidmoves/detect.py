@@ -210,17 +210,25 @@ def enumerate_simple(n: int, depth: int) -> list[SimpleClass]:
 # -- the class tables -------------------------------------------------------
 
 
-class _WordTable:
-    """The screen vectors of a fixed tuple of class words, by position k:
-    the flat row Y(w^-1) (modcheck.y_row) and the flat column X(w)
-    (modcheck.x_column) of the word w = words[k], as tuples, each formed
-    on first use.  They depend on the word alone, not on a braid."""
+class _ClassTable:
+    """The simple classes of (n, depth), in enumeration order, with the
+    screen vectors of their words, and the joint orbit of strategy (i) of
+    an exchange scan, walked on first use.  The screen vectors of the word
+    w = words[k], by position k, are the flat row Y(w^-1) (modcheck.y_row)
+    and the flat column X(w) (modcheck.x_column), as tuples, each formed on
+    first use; they depend on the word alone, not on a braid."""
 
-    def __init__(self, words):
-        self.words: tuple[FreeWord, ...] = tuple(words)
+    def __init__(self, n: int, depth: int):
+        starts = [(FreeWord.generator(n, k),) for k in range(1, n + 1)]
+        self.n, self.depth = n, depth
+        self.classes = tuple(
+            SimpleClass(word, beta, root + 1) for (word,), beta, root in _orbit(n, starts, depth)
+        )
+        self.words: tuple[FreeWord, ...] = tuple(sc.word for sc in self.classes)
         self.index = {w: k for k, w in enumerate(self.words)}
         self._rows: list[tuple | None] = [None] * len(self.words)
         self._columns: list[tuple | None] = [None] * len(self.words)
+        self._joint: tuple | None = None
 
     def row(self, k: int) -> tuple:
         row = self._rows[k]
@@ -233,21 +241,6 @@ class _WordTable:
         if column is None:
             column = self._columns[k] = tuple(x_column(self.words[k]))
         return column
-
-
-class _ClassTable(_WordTable):
-    """The simple classes of (n, depth), in enumeration order, with the
-    screen vectors of their words, and the joint orbit of strategy (i) of
-    an exchange scan, walked on first use."""
-
-    def __init__(self, n: int, depth: int):
-        starts = [(FreeWord.generator(n, k),) for k in range(1, n + 1)]
-        self.n, self.depth = n, depth
-        self.classes = tuple(
-            SimpleClass(word, beta, root + 1) for (word,), beta, root in _orbit(n, starts, depth)
-        )
-        super().__init__(sc.word for sc in self.classes)
-        self._joint: tuple | None = None
 
     def joint(self) -> tuple[tuple[int, int, BraidWord], ...]:
         """(i, j, psi) for the joint pairs (psi(x_{n-1}), psi(x_n)), |psi| <=
@@ -279,13 +272,13 @@ def _class_table(n: int, depth: int) -> _ClassTable:
 
 class _BlockScreen:
     """The mod-P screen of the scans of one braid b, in the block
-    representation (see the module docstring), over the words of a table
-    (_WordTable), by position.  The table serves the rows Y(v^-1) and the
-    columns X(w); the screen keeps X(w) pushed through the image of
-    b^sign mod P, per position, formed on first use.  No loop word of b is
-    built for a candidate that the screen clears."""
+    representation (see the module docstring), over the words of a class
+    table (_ClassTable), by position.  The table serves the rows Y(v^-1)
+    and the columns X(w); the screen keeps X(w) pushed through the image
+    of b^sign mod P, per position, formed on first use.  No loop word of b
+    is built for a candidate that the screen clears."""
 
-    def __init__(self, b: BraidWord, table: _WordTable):
+    def __init__(self, b: BraidWord, table: _ClassTable):
         self.b = b
         self.table = table
         self._letters = {1: b.letters[::-1], -1: b.inverse().letters[::-1]}

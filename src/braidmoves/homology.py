@@ -423,7 +423,6 @@ def left_action_y(b: BraidWord, w: HomologyClassY) -> HomologyClassY:
 # -- tau-evaluated components, computed in one sweep ----------------------
 
 
-@lru_cache(maxsize=None)
 def _tau_y(n: int, idx: int, sign: int) -> MagnusElement:
     return tau(_y_word(n, idx, sign))
 

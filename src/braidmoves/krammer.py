@@ -28,12 +28,15 @@ to an n(n+1) x n(n+1) matrix and kept as a table of its rows, in the one
 sparse format that the mod-p screen uses too (magnus.row_table), read off
 the blocks of each block row that are not zero: a row whose only nonzero
 entry is one is a copy of one entry of the column it acts on, and every
-other row keeps its nonzero entries.  The exact tables are built on first
-use, once per (n, i, sign); the mod-P tables and the bounds below are made
-from them by magnus.map_table.  tau_plus_act pushes the n+1 flat columns
-of a block column, tau_plus assembles the matrix from its n block columns,
-and entry reads one block of one column.  BlockMatrix.__mul__, the generic
-block product, stays as the reference the tests hold them to.
+other row keeps its nonzero entries.  The exact table of (n, i, sign) is
+built on first use, from the generator's blocks, which are not kept; the
+bound table below is made from it by magnus.map_table, and the mod-P
+kernel reduces its entries as it is compiled.  At most _KERNELS tables,
+and _KERNELS kernels, of each kind are kept.  tau_plus_act pushes the n+1
+flat columns of a block column, tau_plus assembles the matrix from its n
+block columns, and entry reads one block of one column.
+BlockMatrix.__mul__, the generic block product, stays as the reference
+the tests hold them to.
 
 A generic step of the push spends most of its time reading the table, not
 multiplying, so each table is compiled, on first use, into one
@@ -51,9 +54,9 @@ q^a t^e of the kernel's table, are worked out once per stretch and kernel
 (_shifts); the direction of each is fixed when the kernel is compiled,
 sign(a) when a != 0 and sign(e) otherwise.  That holds in every layout
 because every term has |e| <= 1 <= W, which the kernel checks when it is
-compiled and _shifts at every stretch.  The source is written from the tables' integer
-entries and row indices alone, never from user input, as dataclasses
-writes __init__, and at most _KERNELS kernels of each kind are kept.
+compiled and _shifts at every stretch.  The source is written from the
+tables' integer entries and row indices alone, never from user input, as
+dataclasses writes __init__.
 
 The exact push (_push_exact) runs on integers, by Kronecker
 substitution (Kronecker 1882; Harvey 2009), in three steps:
@@ -188,7 +191,12 @@ class BlockMatrix:
         return f"BlockMatrix(n={self.n})"
 
 
-@lru_cache(maxsize=None)
+_KERNELS = 64
+"""The generator tables and compiled kernels kept of each kind, least
+recently used first out: every generator of B_3 .. B_5 in both signs (18)
+and room for more."""
+
+
 def _generator_blocks(n: int, i: int, sign: int) -> tuple:
     """The blocks of sigma_i^sign acting on e_1 .. e_n that are not zero,
     block row by block row: for each row (0-based), its (column, block)
@@ -210,7 +218,7 @@ def _generator_blocks(n: int, i: int, sign: int) -> tuple:
     return tuple(rows)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_KERNELS)
 def tau_plus_generator(n: int, i: int, sign: int = 1) -> BlockMatrix:
     """The block matrix of sigma_i^sign acting on e_1 .. e_n."""
     zero = MagnusElement.zero(n + 1)
@@ -224,7 +232,7 @@ def tau_plus_generator(n: int, i: int, sign: int = 1) -> BlockMatrix:
 # -- the sparse action (see the module docstring) --------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_KERNELS)
 def _rows(n: int, i: int, sign: int) -> tuple:
     """The table of sigma_i^sign acting on a flat column on the left; flat
     row r(n+1) + a holds row a of the blocks in block row r, read off the
@@ -239,17 +247,6 @@ def _rows(n: int, i: int, sign: int) -> tuple:
     )
 
 
-@lru_cache(maxsize=None)
-def _rows_mod(n: int, i: int, sign: int) -> tuple:
-    """_rows(n, i, sign) reduced mod P."""
-    return map_table(_rows(n, i, sign), poly_mod)
-
-
-_KERNELS = 64
-"""The compiled kernels kept of each kind, least recently used first out:
-every generator of B_3 .. B_5 in both signs (18) and room for more."""
-
-
 def _compiled(name: str, source: str, namespace: dict):
     """The function kernel that source defines, compiled under the given
     name; namespace holds its constants."""
@@ -259,10 +256,11 @@ def _compiled(name: str, source: str, namespace: dict):
 
 @lru_cache(maxsize=_KERNELS)
 def _kernel_mod(n: int, i: int, sign: int):
-    """_rows_mod(n, i, sign) compiled into one straight-line function of a
-    flat column mod P (see the module docstring), with the values of
-    apply_table(_rows_mod(n, i, sign), vec, modcheck.dot_mod)."""
-    copy, dense = _rows_mod(n, i, sign)
+    """_rows(n, i, sign) reduced mod P and compiled into one straight-line
+    function of a flat column mod P (see the module docstring), with the
+    values of apply_table(map_table(_rows(n, i, sign), poly_mod), vec,
+    modcheck.dot_mod)."""
+    copy, dense = _rows(n, i, sign)
     size = n * (n + 1)
     rows = [f"a{k}" for k in copy(range(size))]
     constants = {}
@@ -270,7 +268,7 @@ def _kernel_mod(n: int, i: int, sign: int):
         terms = []
         for k, g in live:
             name = f"g{len(constants)}"
-            constants[name] = g
+            constants[name] = poly_mod(g)
             terms.append(f"{name} * a{k}")
         rows[c] = f"({' + '.join(terms)}) % P"
     params = "".join(f", {name}={name}" for name in constants)
@@ -339,7 +337,7 @@ def _merge(bounds) -> list | None:
     ]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_KERNELS)
 def _rows_bound(n: int, i: int, sign: int) -> tuple:
     """_rows(n, i, sign) with each entry g given by its L1 norm and window,
     [sum |c|, min q, max q, min t, max t]."""

@@ -282,7 +282,6 @@ _ONE_MINUS_Q = ONE - Q
 _ONE_MINUS_T = ONE - T
 
 
-@lru_cache(maxsize=None)
 def rho_sigma(n: int, i: int, sign: int = 1) -> MagnusElement:
     """rho of sigma_i^sign in G_n, an (n+1) x (n+1) matrix."""
     if not 1 <= i <= n - 1:
@@ -298,7 +297,6 @@ def rho_sigma(n: int, i: int, sign: int = 1) -> MagnusElement:
     return MagnusElement(tuple(tuple(r) for r in rows))
 
 
-@lru_cache(maxsize=None)
 def rho_x(n: int, j: int, sign: int = 1) -> MagnusElement:
     """rho of x_j^sign in G_n, an (n+1) x (n+1) matrix."""
     if not 1 <= j <= n:
@@ -348,15 +346,6 @@ def _invert_x_matrix(m: MagnusElement, j: int) -> MagnusElement:
         if corrj:
             rows[j][c] = rows[j][c] - corrj
     return MagnusElement(tuple(tuple(r) for r in rows))
-
-
-def rho_generator(n: int, kind: str, index: int, sign: int = 1) -> MagnusElement:
-    """rho of a single generator; kind is "sigma" or "x"."""
-    if kind == "sigma":
-        return rho_sigma(n, index, sign)
-    if kind == "x":
-        return rho_x(n, index, sign)
-    raise WordError(f"unknown generator kind {kind!r}")
 
 
 @lru_cache(maxsize=None)

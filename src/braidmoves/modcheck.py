@@ -18,12 +18,10 @@ come from the Fox sweeps of the homology module run over flat probe
 vectors (ModVector) instead of the identity matrix.  y_row stacks the
 rows u^T C_i T_i and x_column the columns M_i v into flat vectors of
 length n(n+1), so the scalar is one flat dot of the two; detection pushes
-the column through the block image of a braid before the dot (see the
-detect module).  The row of a one-letter loop x_j^sign is a constant of
-the screen: letter_y_row keeps it per (n, j, sign), built on first use by
-the same sweep and held as a tuple, and y_row returns a copy of it.
-Every generator image acts on those vectors through the one sparse
-table format of the block representation
+the column through the block image of a braid before the dot, and keeps
+each class word's row and column in its class tables (see the detect
+module).  Every generator image acts on those vectors through the one
+sparse table format of the block representation
 (magnus.row_table, magnus.apply_table), reduced mod P: x_mod acts on
 columns, and y_mod and t_mod, which act on rows, are built from the
 transposed images.  All three are the exact tables of the pairing fold
@@ -34,10 +32,10 @@ matrix product.
 
 The word problem uses the same points, probes and reduction (probe_vectors,
 poly_mod): krammer.is_identity pushes a probe column of length n(n+1)
-through the block generator tables reduced mod P, each compiled into a
-straight-line kernel (krammer._kernel_mod), one O(n^2)-sized update per
-letter, and u^T M v != u^T v certifies that the braid is nontrivial
-before any exact product is formed.  The detection screen pushes its
+through the block generator tables, each reduced mod P as it is compiled
+into a straight-line kernel (krammer._kernel_mod), one O(n^2)-sized
+update per letter, and u^T M v != u^T v certifies that the braid is
+nontrivial before any exact product is formed.  The detection screen pushes its
 columns through the same kernels.
 """
 
@@ -143,22 +141,7 @@ def x_column(xloop: FreeWord) -> ModVector:
 def y_row(yloop: FreeWord) -> ModVector:
     """The flat row Y of [yloop]_y with t_i applied: block i is u^T C_i t_i,
     for the components C_i of the class and the probe row u, so that Y X is
-    u^T S v for the value S of <[yloop]_y, [xloop]_x> and X = x_column(xloop).
-    The row of a one-letter loop is a fresh copy of letter_y_row."""
-    if len(yloop) == 1:
-        ((j, sign),) = yloop.letters
-        return ModVector(letter_y_row(yloop.n, j, sign))
-    return _swept_y_row(yloop)
-
-
-@lru_cache(maxsize=None)
-def letter_y_row(n: int, j: int, sign: int) -> tuple[int, ...]:
-    """The row Y of the loop x_j^sign, a constant of the screen, swept once."""
-    return tuple(_swept_y_row(FreeWord.generator(n, j, sign)))
-
-
-def _swept_y_row(yloop: FreeWord) -> ModVector:
-    """The row Y of y_row by one sweep of the y-loop."""
+    u^T S v for the value S of <[yloop]_y, [xloop]_x> and X = x_column(xloop)."""
     n = yloop.n
     zero = ModVector([0] * (n + 1))
     comps = sweep_y(yloop, ModVector(probe_vectors(n + 1)[0]), zero, partial(y_mod, n))

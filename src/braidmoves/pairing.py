@@ -66,7 +66,6 @@ from .words import FreeWord, WordError
 logger = logging.getLogger(__name__)
 
 
-@lru_cache(maxsize=None)
 def x_prefix(n: int, i: int) -> FreeWord:
     """The word x_1 x_2 .. x_i (empty for i = 0)."""
     return FreeWord(n, tuple((k, 1) for k in range(1, i + 1)))
@@ -291,8 +290,3 @@ def pair_loops(yloop: FreeWord, xloop: FreeWord) -> PairingValue:
     if yloop.n != xloop.n:
         raise WordError(f"puncture count mismatch: {yloop.n} vs {xloop.n}")
     return PairingValue(loops=(yloop, xloop))
-
-
-def is_zero_pairing(p: PairingValue) -> bool:
-    """True iff the pairing value is zero in the matrix ring."""
-    return p.is_zero()

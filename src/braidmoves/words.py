@@ -271,11 +271,6 @@ def act_letters(b: BraidWord, letters: tuple[Letter, ...]) -> Iterator[tuple[Let
         yield letters
 
 
-def act_braid_on_free(b: BraidWord, w: FreeWord) -> FreeWord:
-    """The automorphism image b(w); see the module docstring for orientation."""
-    return b(w)
-
-
 def y_basis_word(i: int, n: int) -> FreeWord:
     """The second basis element y_i = x_1 ... x_{i-1} x_i^-1 x_{i-1}^-1 ... x_1^-1,
     spelled by the letters of x_in_y_letters(i, 1) read as x-letters."""

@@ -9,9 +9,9 @@ with each entry of a computed row converted by a given function.
 
 The compiled kernels of krammer are held to the table route: push runs
 flat columns through the tables one magnus.apply_table step per letter,
-in any ring given its dot product, and packed_table and packed_dot are
-the exact tables on Kronecker-packed integers, each entry a list of
-shifts.
+in any ring given its dot product; rows_mod is the exact table reduced
+mod P, and packed_table and packed_dot are the exact tables on
+Kronecker-packed integers, each entry a list of shifts.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 from braidmoves.krammer import _rows
 from braidmoves.laurent import ONE
 from braidmoves.magnus import apply_table, map_table
+from braidmoves.modcheck import poly_mod
 
 COPY = "copy"
 
@@ -58,6 +59,11 @@ def push(n: int, letters, vecs: list, tables, dot) -> list:
         table = tables(n, i, sign)
         vecs = [apply_table(table, vec, dot) for vec in vecs]
     return vecs
+
+
+def rows_mod(n: int, i: int, sign: int) -> tuple:
+    """_rows(n, i, sign) reduced mod P, entry by entry."""
+    return map_table(_rows(n, i, sign), poly_mod)
 
 
 def packed_table(n: int, i: int, sign: int, s: int, w: int) -> tuple:

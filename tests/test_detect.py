@@ -453,11 +453,11 @@ def test_decision_does_not_read_the_y_terms_table(monkeypatch):
                 next(scan(b, 0))
 
 
-def test_warm_scans_sweep_no_one_letter_y_loop(monkeypatch, cold_tables):
-    # once warm, the y-side of a one-letter loop comes from the tables of
-    # pairing and modcheck, in the screen rows and the re-verification
-    # alike; longer loops are still swept.  The class tables are cleared
-    # after the warm-up, so that the scans form their screen rows again
+def test_warm_scans_make_no_mod_p_sweep(monkeypatch, cold_tables):
+    # once the class tables of each (n, depth) are built, a scan reads every
+    # screen row and column from them and sweeps no loop mod P, while its
+    # re-verifications read the y-side of their one-letter loops from
+    # pairing.letter_y_terms
     import braidmoves.modcheck as MC
     import braidmoves.pairing as P
 
@@ -465,25 +465,20 @@ def test_warm_scans_sweep_no_one_letter_y_loop(monkeypatch, cold_tables):
     scans += [(reducing_certificates, BETA1, 0), (exchange_certificates, BETA2, 1)]
     for scan, b, depth in scans:
         list(scan(b, depth))
-    cold_tables()
-    swept, read = [], []
+    calls = []
 
-    def recording(fn, log):
+    def recording(fn):
         def recorded(*args):
-            log.append((fn.__name__, args))
+            calls.append(fn.__name__)
             return fn(*args)
 
         return recorded
 
-    monkeypatch.setattr(P, "tau_components_y", recording(P.tau_components_y, swept))
-    monkeypatch.setattr(MC, "sweep_y", recording(MC.sweep_y, swept))
-    monkeypatch.setattr(P, "letter_y_terms", recording(P.letter_y_terms, read))
-    monkeypatch.setattr(MC, "letter_y_row", recording(MC.letter_y_row, read))
-    for scan, b, depth in scans:
-        list(scan(b, depth))
-    lengths = [len(args[0]) for _, args in swept]
-    assert min(lengths) > 1
-    assert {name for name, _ in read} == {"letter_y_terms", "letter_y_row"}
+    for module, name in ((MC, "sweep_x"), (MC, "sweep_y"), (P, "letter_y_terms")):
+        monkeypatch.setattr(module, name, recording(getattr(module, name)))
+    certificates = [list(scan(b, depth)) for scan, b, depth in scans]
+    assert [len(found) for found in certificates] == [0, 1, 1, 4]
+    assert set(calls) == {"letter_y_terms"}
 
 
 # -- the block screen against the loop-word route -------------------------------

@@ -1,10 +1,12 @@
+import gc
 import random
 import tracemalloc
 
 import pytest
 
 import braidmoves.krammer as K
-from _tables import packed_dot, packed_table, push, reference_entries, table_entries
+import braidmoves.magnus as M
+from _tables import packed_dot, packed_table, push, reference_entries, rows_mod, table_entries
 from braidmoves.homology import evaluate_x, fox_x, fox_y, tau_components_x
 from braidmoves.krammer import (
     BlockMatrix,
@@ -13,7 +15,6 @@ from braidmoves.krammer import (
     _kernel_mod,
     _push_mod,
     _rows,
-    _rows_mod,
     certainly_not_identity,
     entry,
     is_identity,
@@ -452,17 +453,54 @@ def test_long_products_push_through_kernels_as_through_tables(monkeypatch):
         assert len(set(layouts.values())) > 3 and calls[0] == (n + 1) * len(b)
 
 
+def krammer_caches() -> dict:
+    """The lru caches of the functions that krammer defines, by name."""
+    return {
+        name: value
+        for name, value in vars(K).items()
+        if hasattr(value, "cache_info") and value.__module__ == K.__name__
+    }
+
+
 def test_kernel_caches_hold_every_small_generator():
-    """The bounded kernel caches keep every generator of B_3 .. B_5 in both
-    signs, of either kind: a second round compiles nothing."""
+    """The bounded table and kernel caches keep every generator of B_3 ..
+    B_5 in both signs: a second round builds nothing."""
     generators = [(n, i, sign) for n in (3, 4, 5) for i in range(1, n) for sign in (1, -1)]
-    for cache in (_kernel_mod, _kernel_exact):
+    for cache in (_kernel_mod, _kernel_exact, _rows, K._rows_bound, tau_plus_generator):
         for g in generators:
             cache(*g)
         misses = cache.cache_info().misses
         for g in generators:
             cache(*g)
         assert cache.cache_info().misses == misses
+
+
+def test_every_krammer_cache_is_bounded_by_kernels():
+    caches = krammer_caches()
+    names = {"_kernel_mod", "_kernel_exact", "_rows", "_rows_bound", "tau_plus_generator"}
+    assert names <= set(caches)
+    bounds = {name: cache.cache_info().maxsize for name, cache in caches.items()}
+    assert bounds == dict.fromkeys(caches, K._KERNELS)
+
+
+def test_large_generator_tables_stay_small_once_built():
+    """From empty caches, is_identity of a three-letter braid on B_20, B_40
+    and B_60 keeps at most 10 MB once tau on words is cleared: the exact
+    tables, the mod-P kernels and the tau of each letter, but not the
+    generators' blocks."""
+    for cache in (*krammer_caches().values(), M._tau_letter, M._tau_word):
+        cache.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for n in (20, 40, 60):
+            assert not is_identity(BraidWord.parse("1 -2 3", n))
+        M._tau_word.cache_clear()
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 10_000_000
 
 
 def test_oversized_exact_products_rejected(monkeypatch):
@@ -536,7 +574,7 @@ def test_generator_tables_act_like_their_matrices():
                     expected = [
                         sum(poly_mod(g) * x for g, x in zip(row, vec)) % P for row in rows
                     ]
-                    assert apply_table(_rows_mod(n, i, sign), vec, dot_mod) == expected
+                    assert apply_table(rows_mod(n, i, sign), vec, dot_mod) == expected
 
 
 def norm_and_window(g):
@@ -556,7 +594,7 @@ def test_generator_tables_equal_their_entry_by_entry_reference():
                 rows = flat_rows(tau_plus_generator(n, i, sign))
                 for table, convert in (
                     (_rows(n, i, sign), lambda g: g),
-                    (_rows_mod(n, i, sign), poly_mod),
+                    (rows_mod(n, i, sign), poly_mod),
                     (K._rows_bound(n, i, sign), norm_and_window),
                 ):
                     assert table_entries(table, n * (n + 1)) == reference_entries(rows, convert)
@@ -669,11 +707,11 @@ def test_mod_kernels_equal_the_mod_tables():
             for sign in (1, -1):
                 kernel = _kernel_mod(n, i, sign)
                 for vec in mod_vectors(rng, size, 6):
-                    assert kernel(vec) == apply_table(_rows_mod(n, i, sign), vec, dot_mod)
+                    assert kernel(vec) == apply_table(rows_mod(n, i, sign), vec, dot_mod)
                     assert kernel(tuple(vec)) == kernel(vec)
         for vec in mod_vectors(rng, size, 3):
             letters = [(rng.randrange(1, n), rng.choice((1, -1))) for _ in range(40)]
-            assert _push_mod(n, letters, vec) == push(n, letters, [vec], _rows_mod, dot_mod)[0]
+            assert _push_mod(n, letters, vec) == push(n, letters, [vec], rows_mod, dot_mod)[0]
 
 
 def test_screen_verdicts_equal_the_table_push():
@@ -690,7 +728,7 @@ def test_screen_verdicts_equal_the_table_push():
             rand_braid(rng, n, 12),
         ):
             u, v = probe_vectors(n * (n + 1))
-            (mv,) = push(n, reversed(b.letters), [v], _rows_mod, dot_mod)
+            (mv,) = push(n, reversed(b.letters), [v], rows_mod, dot_mod)
             verdict = sum(x * y for x, y in zip(u, mv)) % P != sum(x * y for x, y in zip(u, v)) % P
             assert certainly_not_identity(b) == verdict
             verdicts.add(verdict)

@@ -8,7 +8,6 @@ from braidmoves.magnus import (
     MagnusElement,
     burau_block,
     deg,
-    rho_generator,
     rho_sigma,
     rho_x,
     tau,
@@ -96,13 +95,6 @@ def test_generators_match_oracle(n):
     for j in range(1, n + 1):
         for sign in (1, -1):
             assert rows(rho_x(n, j, sign)) == oracle_rho(n, "x", j, sign)
-
-
-def test_rho_generator_dispatch():
-    assert rho_generator(4, "sigma", 2) == rho_sigma(4, 2)
-    assert rho_generator(4, "x", 3, -1) == rho_x(4, 3, -1)
-    with pytest.raises(ValueError):
-        rho_generator(4, "z", 1)
 
 
 # -- determinants are units ---------------------------------------------------

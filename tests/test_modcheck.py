@@ -21,7 +21,6 @@ from braidmoves.detect import (
     REDUCE_POSITIVE,
     _BlockScreen,
     _class_table,
-    _WordTable,
     enumerate_simple,
     exchange_certificates,
     reducing_certificates,
@@ -39,13 +38,12 @@ from braidmoves.magnus import _tau_letter, tau
 from braidmoves.modcheck import (
     P,
     ModVector,
-    _swept_y_row,
-    letter_y_row,
     loop_pairing_certainly_nonzero,
     pairing_certainly_nonzero,
     poly_mod,
     probe_vectors,
     t_mod,
+    x_column,
     x_mod,
     y_mod,
     y_row,
@@ -137,25 +135,18 @@ def test_mod_sweeps_are_reductions_of_exact_sweeps():
 
 
 def test_letter_y_rows_equal_their_sweep():
-    """Each one-letter row against the sweep it is built by and against the
-    probe row times the reduced exact terms, u^T C_i t_i; a caller that
-    rewrites the row it was given leaves the next lookup as it was."""
+    """The swept row of each one-letter loop against the probe row times
+    the reduced exact terms, u^T C_i t_i."""
     for n in range(2, 7):
         u = probe_vectors(n + 1)[0]
         for j in range(1, n + 1):
             for sign in (1, -1):
                 loop = FreeWord.generator(n, j, sign)
-                swept = _swept_y_row(loop)
                 exact = (
                     row_times(u, reduced(c * t_element(n, i)))
                     for i, c in enumerate(tau_components_y(loop), start=1)
                 )
-                assert swept == list(chain.from_iterable(exact))
-                served = y_row(loop)
-                assert served == swept and letter_y_row(n, j, sign) == tuple(swept)
-                served[0] += 1
-                served.clear()
-                assert y_row(loop) == swept
+                assert y_row(loop) == list(chain.from_iterable(exact))
 
 
 def test_screen_nonzero_implies_exact_nonzero():
@@ -328,9 +319,27 @@ def block_tests(b, v, w):
     )
 
 
+class WordTable:
+    """The screen vectors of some words, each once, by position, as
+    _BlockScreen reads them from a class table: the row Y(w^-1) and the
+    column X(w) of each word w."""
+
+    def __init__(self, words):
+        self.words = tuple(dict.fromkeys(words))
+        self.index = {w: k for k, w in enumerate(self.words)}
+        self._rows = [tuple(y_row(w.inverse())) for w in self.words]
+        self._columns = [tuple(x_column(w)) for w in self.words]
+
+    def row(self, k):
+        return self._rows[k]
+
+    def column(self, k):
+        return self._columns[k]
+
+
 def word_screen(b, *words):
     """_BlockScreen(b) over a table of these words, each once."""
-    return _BlockScreen(b, _WordTable(dict.fromkeys(words)))
+    return _BlockScreen(b, WordTable(words))
 
 
 def screened(screen, v, w, sign):

@@ -27,7 +27,6 @@ from braidmoves.pairing import (
     evaluate_loops,
     fold_over_x,
     fold_over_y,
-    is_zero_pairing,
     letter_y_terms,
     pair,
     pair_loops,
@@ -66,14 +65,14 @@ def test_off_diagonal_vanishes():
             if i != j:
                 value = pair(basis_y(4, i), basis_x(4, j))
                 assert value.symbolic.is_zero()
-                assert is_zero_pairing(value)
+                assert value.is_zero()
 
 
 def test_diagonal_values():
     for i in range(1, 5):
         value = pair(basis_y(4, i), basis_x(4, i))
         assert value.evaluated == t_element(4, i)
-        assert not is_zero_pairing(value)
+        assert not value.is_zero()
 
 
 def test_construction_example():
@@ -99,7 +98,7 @@ def test_f2_e2_nonzero():
 def test_zero_classes():
     zero_y = HomologyClassY(4, tuple(GroupRingElement.zero(4) for _ in range(4)))
     zero_x = HomologyClassX(4, tuple(GroupRingElement.zero(4) for _ in range(4)))
-    assert is_zero_pairing(pair(zero_y, zero_x))
+    assert pair(zero_y, zero_x).is_zero()
 
 
 def test_evaluated_equals_tau_of_symbolic():

@@ -10,7 +10,6 @@ from braidmoves.words import (
     BraidWord,
     FreeWord,
     WordError,
-    act_braid_on_free,
     act_letters,
     y_basis_word,
 )
@@ -120,9 +119,9 @@ def test_action_anchor_beta1():
     assert b1(w) == FreeWord.parse("x1 x2 x3 x1 x3^-1 x2^-1 x1^-1", 4)
 
 
-def test_act_function_alias():
+def test_sigma1_sends_x1_to_x2():
     b = BraidWord.parse("1", 2)
-    assert act_braid_on_free(b, FreeWord.generator(2, 1)) == FreeWord.generator(2, 2)
+    assert b(FreeWord.generator(2, 1)) == FreeWord.generator(2, 2)
 
 
 def test_act_letters_steps_through_the_action():
