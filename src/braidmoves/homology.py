@@ -31,10 +31,10 @@ Each derivation is computed by one sweep (sweep_x, sweep_y) that runs in
 any ring: fox_x/fox_y run it in ZF_n, tau_components_x/y in the Magnus
 matrices (flat rows pushed through the sparse tables x_left and y_right),
 and modcheck on probe vectors mod p (a row times the y-side prefix, the
-x-side suffix times a column).  fold_x and fold_y give one side of a
-pairing without its components: each folds the letters of a loop over
-given factors from the other side, and the pairing module runs them on
-rows through the tables x_right and y_left.
+x-side suffix times a column).  fold_x gives the x-side of a pairing
+without its components: it folds the letters of an x-loop over given
+y-side terms, and the pairing module runs it on rows through the table
+x_right, always on the x-loop.
 
 Classes built from a loop word carry that word as provenance; the star
 correspondence and the braid action use it ([w]^* = [w^-1] in the other
@@ -48,7 +48,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
-from .magnus import MagnusElement, RowMatrix, _tau_letter, row_table, tau, transposed_table
+from .magnus import (
+    TABLES_KEPT,
+    MagnusElement,
+    RowMatrix,
+    _tau_letter,
+    row_table,
+    tau,
+    transposed_table,
+)
 from .words import (
     BraidWord,
     FreeWord,
@@ -313,27 +321,7 @@ def sweep_y(w: FreeWord, one, zero, image) -> tuple:
     return tuple(comps)
 
 
-def fold_y(w: FreeWord, terms, zero, image):
-    """sum_i c_i terms[i-1] over the components c_i of [w]_y, without
-    forming the components: one right-to-left pass over the y-letters,
-    the mirror of fold_x.
-
-    Before the letters l_k .. l_m the accumulator is the sum for
-    [l_k .. l_m]_y, and e(l v) = l e(v) + e(l) updates it by
-    acc <- Y acc + L for l = y_i and acc <- Y (acc - L) for l = y_i^-1,
-    with L = terms[i-1] and Y = image(i, sign), which multiplies acc on the
-    left.
-    """
-    acc = zero
-    for idx, sign in reversed(_y_letters_of(w)):
-        if sign == 1:
-            acc = image(idx, 1) * acc + terms[idx - 1]
-        else:
-            acc = image(idx, -1) * (acc - terms[idx - 1])
-    return acc
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=TABLES_KEPT)
 def _y_word(n: int, idx: int, sign: int) -> FreeWord:
     return FreeWord(n, x_in_y_letters(idx, sign))
 
@@ -383,7 +371,7 @@ def star_y_to_x(w: HomologyClassY) -> HomologyClassX:
     return fox_x(w.loop.inverse())
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=TABLES_KEPT)
 def _e_star(n: int, i: int) -> HomologyClassY:
     return fox_y(FreeWord.generator(n, i, -1))
 
@@ -427,35 +415,29 @@ def _tau_y(n: int, idx: int, sign: int) -> MagnusElement:
     return tau(_y_word(n, idx, sign))
 
 
-# The exact generator tables of the sweeps and folds, in the one format of
-# magnus.row_table, all on flat rows held in magnus.RowMatrix.  A *_right
-# table multiplies on the right (r -> r G, the transposed_table of G); a
+# The exact generator tables of the sweeps and the fold, in the one format
+# of magnus.row_table, all on flat rows held in magnus.RowMatrix.  A *_right
+# table multiplies on the right (r -> r G, the transposed_table of G); the
 # *_left table multiplies on the left, applied to the rows of a transpose
 # (the row_table of G).  modcheck reduces x_left and y_right mod P.
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=TABLES_KEPT)
 def x_right(n: int, j: int, sign: int) -> tuple:
     """r -> r tau(x_j^sign)."""
     return transposed_table(_tau_letter(n, "x", j, sign))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=TABLES_KEPT)
 def x_left(n: int, j: int, sign: int) -> tuple:
     """v -> tau(x_j^sign) v."""
     return row_table(_tau_letter(n, "x", j, sign).entries)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=TABLES_KEPT)
 def y_right(n: int, idx: int, sign: int) -> tuple:
     """r -> r tau(y_idx^sign)."""
     return transposed_table(_tau_y(n, idx, sign))
-
-
-@lru_cache(maxsize=None)
-def y_left(n: int, idx: int, sign: int) -> tuple:
-    """v -> tau(y_idx^sign) v."""
-    return row_table(_tau_y(n, idx, sign).entries)
 
 
 def tau_components_x(w: FreeWord) -> tuple[MagnusElement, ...]:

@@ -31,10 +31,11 @@ entry is one is a copy of one entry of the column it acts on, and every
 other row keeps its nonzero entries.  The exact table of (n, i, sign) is
 built on first use, from the generator's blocks, which are not kept; the
 bound table below is made from it by magnus.map_table, and the mod-P
-kernel reduces its entries as it is compiled.  At most _KERNELS tables,
-and _KERNELS kernels, of each kind are kept.  tau_plus_act pushes the n+1
-flat columns of a block column, tau_plus assembles the matrix from its n
-block columns, and entry reads one block of one column.
+kernel reduces its entries as it is compiled.  At most
+magnus.TABLES_KEPT tables, and as many kernels, of each kind are kept.
+tau_plus_act pushes the n+1 flat columns of a block column, tau_plus
+assembles the matrix from its n block columns, and entry reads one block
+of one column.
 BlockMatrix.__mul__, the generic block product, stays as the reference
 the tests hold them to.
 
@@ -109,7 +110,7 @@ from operator import mul
 from typing import Sequence
 
 from .laurent import ZERO, LaurentPoly
-from .magnus import MagnusElement, apply_table, map_table, sparse_row_table, tau
+from .magnus import TABLES_KEPT, MagnusElement, apply_table, map_table, sparse_row_table, tau
 from .modcheck import P, poly_mod, probe_vectors
 from .words import BraidWord, FreeWord, WordError, act_letters
 
@@ -191,12 +192,6 @@ class BlockMatrix:
         return f"BlockMatrix(n={self.n})"
 
 
-_KERNELS = 64
-"""The generator tables and compiled kernels kept of each kind, least
-recently used first out: every generator of B_3 .. B_5 in both signs (18)
-and room for more."""
-
-
 def _generator_blocks(n: int, i: int, sign: int) -> tuple:
     """The blocks of sigma_i^sign acting on e_1 .. e_n that are not zero,
     block row by block row: for each row (0-based), its (column, block)
@@ -218,7 +213,7 @@ def _generator_blocks(n: int, i: int, sign: int) -> tuple:
     return tuple(rows)
 
 
-@lru_cache(maxsize=_KERNELS)
+@lru_cache(maxsize=TABLES_KEPT)
 def tau_plus_generator(n: int, i: int, sign: int = 1) -> BlockMatrix:
     """The block matrix of sigma_i^sign acting on e_1 .. e_n."""
     zero = MagnusElement.zero(n + 1)
@@ -232,7 +227,7 @@ def tau_plus_generator(n: int, i: int, sign: int = 1) -> BlockMatrix:
 # -- the sparse action (see the module docstring) --------------------------
 
 
-@lru_cache(maxsize=_KERNELS)
+@lru_cache(maxsize=TABLES_KEPT)
 def _rows(n: int, i: int, sign: int) -> tuple:
     """The table of sigma_i^sign acting on a flat column on the left; flat
     row r(n+1) + a holds row a of the blocks in block row r, read off the
@@ -254,7 +249,7 @@ def _compiled(name: str, source: str, namespace: dict):
     return namespace["kernel"]
 
 
-@lru_cache(maxsize=_KERNELS)
+@lru_cache(maxsize=TABLES_KEPT)
 def _kernel_mod(n: int, i: int, sign: int):
     """_rows(n, i, sign) reduced mod P and compiled into one straight-line
     function of a flat column mod P (see the module docstring), with the
@@ -337,7 +332,7 @@ def _merge(bounds) -> list | None:
     ]
 
 
-@lru_cache(maxsize=_KERNELS)
+@lru_cache(maxsize=TABLES_KEPT)
 def _rows_bound(n: int, i: int, sign: int) -> tuple:
     """_rows(n, i, sign) with each entry g given by its L1 norm and window,
     [sum |c|, min q, max q, min t, max t]."""
@@ -453,7 +448,7 @@ def _shifts(monomials, s: int, w: int) -> tuple:
     return shifts
 
 
-@lru_cache(maxsize=_KERNELS)
+@lru_cache(maxsize=TABLES_KEPT)
 def _kernel_exact(n: int, i: int, sign: int):
     """_rows(n, i, sign) compiled into one straight-line function of a
     packed flat column and the shifts S of its layout (see the module

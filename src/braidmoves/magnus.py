@@ -41,6 +41,11 @@ from typing import Iterable, Iterator, Sequence, Union
 from .laurent import ONE, Q, T, ZERO, LaurentPoly
 from .words import BraidWord, FreeWord, WordError
 
+TABLES_KEPT = 64
+"""The entries that each per-generator or per-strand-count cache of the
+package keeps, least recently used first out: every key of B_3 .. B_5 (at
+most 42 per cache) and room for more."""
+
 
 class MagnusElement:
     """A square matrix over Z[q^±1, t^±1].
@@ -348,7 +353,7 @@ def _invert_x_matrix(m: MagnusElement, j: int) -> MagnusElement:
     return MagnusElement(tuple(tuple(r) for r in rows))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=TABLES_KEPT)
 def _tau_letter(n: int, kind: str, index: int, sign: int) -> MagnusElement:
     if kind == "sigma":
         return rho_sigma(n, index, sign)

@@ -24,10 +24,10 @@ module).  Every generator image acts on those vectors through the one
 sparse table format of the block representation
 (magnus.row_table, magnus.apply_table), reduced mod P: x_mod acts on
 columns, and y_mod and t_mod, which act on rows, are built from the
-transposed images.  All three are the exact tables of the pairing fold
-(homology.x_left, homology.y_right, pairing.t_right) with poly_mod
-applied to each entry by magnus.map_table, so each table has one
-builder.  Each vector update costs at most O(n^2), not the O(n^3) of a
+transposed images.  All three are the exact tables of the Magnus sweeps
+and the pairing fold (homology.x_left, homology.y_right, pairing.t_right)
+with poly_mod applied to each entry by magnus.map_table, so each table has
+one builder.  Each vector update costs at most O(n^2), not the O(n^3) of a
 matrix product.
 
 The word problem uses the same points, probes and reduction (probe_vectors,
@@ -47,7 +47,7 @@ from operator import mul
 
 from .homology import sweep_x, sweep_y, x_left, y_right
 from .laurent import LaurentPoly
-from .magnus import apply_table, map_table
+from .magnus import TABLES_KEPT, apply_table, map_table
 from .pairing import t_right
 from .words import FreeWord
 
@@ -65,26 +65,26 @@ def poly_mod(p: LaurentPoly) -> int:
     return total
 
 
-# x acts on columns, y and t on rows: each is the exact table of the pairing
-# fold (homology.x_left, homology.y_right, pairing.t_right), reduced mod P
+# x acts on columns, y and t on rows: each is an exact table of the sweeps or
+# the fold (homology.x_left, homology.y_right, pairing.t_right), reduced mod P
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=TABLES_KEPT)
 def x_mod(n: int, j: int, sign: int) -> tuple:
     return map_table(x_left(n, j, sign), poly_mod)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=TABLES_KEPT)
 def y_mod(n: int, idx: int, sign: int) -> tuple:
     return map_table(y_right(n, idx, sign), poly_mod)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=TABLES_KEPT)
 def t_mod(n: int, i: int) -> tuple:
     return map_table(t_right(n, i), poly_mod)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=TABLES_KEPT)
 def probe_vectors(size: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The probe entries u_k = U0^k and v_k = V0^k mod P, k = 1..size, all
     nonzero."""

@@ -13,18 +13,19 @@ a symbolic zero is only a sound fast path (tau is Z-linear), never the
 other way around.  Whether a symbolically nonzero value can tau-evaluate
 to zero is unknown; if it ever happens it is logged as a noteworthy event.
 
-The evaluated value of two loops, S = sum_i C_i t_i M_i, is computed by a
-fold, with no matrix-by-matrix product.  One loop is swept into its
-components (homology.tau_components_y or _x, flat rows pushed through
-sparse generator tables) and they are multiplied by the t_i through the
-table of t_i: R_i = C_i t_i (y_terms) or L_i = t_i M_i (x_terms).  The
-other loop is folded over those terms with one accumulator.  Over the
-x-loop, left to right, acc <- acc X + R_i for x_i and
-acc <- (acc - R_i) X for x_i^-1 (fold_over_x, homology.fold_x); over the
-y-loop, right to left, acc <- Y acc + L_i for y_i and
-acc <- Y (acc - L_i) for y_i^-1 (fold_over_y, homology.fold_y).  The
-folded loop's components are never formed, and the shorter loop is the
-one swept.  The result is the full exact (n+1) x (n+1) value.
+The evaluated value of two loops, S = sum_i C_i t_i M_i, is computed by
+one fold (evaluate_loops), with no matrix-by-matrix product.  The y-loop
+is swept into its components (homology.tau_components_y, flat rows pushed
+through sparse generator tables) and they are multiplied by the t_i
+through the table of t_i, giving the terms R_i = C_i t_i (y_terms).  The
+x-loop is folded over those terms with one accumulator, left to right:
+acc <- acc X + R_i for x_i and acc <- (acc - R_i) X for x_i^-1
+(homology.fold_x over the tables x_right), so its components are never
+formed.  The result is the full exact (n+1) x (n+1) value.  The y-loop
+is swept whatever the lengths: against an x-loop of two or three letters,
+a random y-loop of 40-126 letters takes 1.3-1.6x what a fold over the
+y-loop took (B3, B4), and a conjugate b(x_i)^-1 of about a hundred letters
+about half.
 
 The terms R_i of a one-letter y-loop x_j^sign are constants of the
 representation.  letter_y_terms keeps them per (n, j, sign), built on
@@ -52,15 +53,12 @@ from .homology import (
     evaluate_x,
     evaluate_y,
     fold_x,
-    fold_y,
     fox_x,
     fox_y,
-    tau_components_x,
     tau_components_y,
     x_right,
-    y_left,
 )
-from .magnus import MagnusElement, RowMatrix, row_table, tau, transposed_table
+from .magnus import TABLES_KEPT, MagnusElement, RowMatrix, tau, transposed_table
 from .words import FreeWord, WordError
 
 logger = logging.getLogger(__name__)
@@ -71,13 +69,13 @@ def x_prefix(n: int, i: int) -> FreeWord:
     return FreeWord(n, tuple((k, 1) for k in range(1, i + 1)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=TABLES_KEPT)
 def _t_symbolic(n: int, i: int) -> GroupRingElement:
     """x_1 .. x_i - x_1 .. x_{i-1}, the diagonal <f_i, e_i> in ZF_n."""
     return GroupRingElement.from_word(x_prefix(n, i)) - x_prefix(n, i - 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=TABLES_KEPT)
 def t_element(n: int, i: int) -> MagnusElement:
     """t_i = tau(x_1 .. x_i) - tau(x_1 .. x_{i-1})."""
     return tau(_t_symbolic(n, i))
@@ -86,10 +84,10 @@ def t_element(n: int, i: int) -> MagnusElement:
 class PairingValue:
     """A pairing value, symbolic in ZF_n with a memoized tau-evaluation.
 
-    The value of two loops is evaluated by a fold (evaluate_loops): one
-    loop is swept into its components and each letter of the other updates
-    one accumulator, so the folded loop's components are never formed and
-    no matrix is multiplied by a matrix.  Classes without loop words are
+    The value of two loops is evaluated by a fold (evaluate_loops): the
+    y-loop is swept into its terms and each letter of the x-loop updates
+    one accumulator, so the x-loop's components are never formed and no
+    matrix is multiplied by a matrix.  Classes without loop words are
     evaluated term by term, tau(c_i) t_i tau(m_i), and a bare symbolic
     value through tau.  Every route gives tau(symbolic); the tests pin them
     together.
@@ -188,29 +186,22 @@ def _evaluate_factorwise(yc: HomologyClassY, xc: HomologyClassX) -> MagnusElemen
 # -- the fold ---------------------------------------------------------------
 #
 # S = sum_i C_i t_i M_i for the components C_i = tau(c_i) of [yloop]_y and
-# M_i = tau(m_i) of [xloop]_x.  One loop is swept into its components and
-# multiplied by the t_i; the other is folded over those terms, so its own
-# components are never formed.  Sweeping the shorter loop keeps the terms,
-# and the products by the dense t_i, small.
+# M_i = tau(m_i) of [xloop]_x.  The y-loop is swept into its components and
+# multiplied by the t_i; the x-loop is folded over those terms, so its own
+# components are never formed.
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=TABLES_KEPT)
 def t_right(n: int, i: int) -> tuple:
     """r -> r t_i, on flat rows."""
     return transposed_table(t_element(n, i))
 
 
-@lru_cache(maxsize=None)
-def t_left(n: int, i: int) -> tuple:
-    """v -> t_i v, on flat rows read as columns."""
-    return row_table(t_element(n, i).entries)
-
-
 def y_terms(yloop: FreeWord) -> tuple[RowMatrix, ...]:
     """R_i = C_i t_i for the components C_i of [yloop]_y, the terms that
-    fold_over_x folds the x-loop over.  The terms of a one-letter loop are
-    read from letter_y_terms, each in a fresh RowMatrix, so no caller can
-    change the table."""
+    evaluate_loops folds the x-loop over.  The terms of a one-letter loop
+    are read from letter_y_terms, each in a fresh RowMatrix, so no caller
+    can change the table."""
     if len(yloop) == 1:
         ((j, sign),) = yloop.letters
         return tuple(map(RowMatrix, letter_y_terms(yloop.n, j, sign)))
@@ -227,7 +218,7 @@ def _swept_y_terms(yloop: FreeWord) -> tuple[RowMatrix, ...]:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=TABLES_KEPT)
 def letter_y_terms(n: int, j: int, sign: int) -> tuple:
     """The rows of each term R_i of the loop x_j^sign, as tuples: constants
     of the representation, swept once."""
@@ -235,39 +226,15 @@ def letter_y_terms(n: int, j: int, sign: int) -> tuple:
     return tuple(tuple(map(tuple, r.rows)) for r in terms)
 
 
-def x_terms(xloop: FreeWord) -> tuple[RowMatrix, ...]:
-    """The transposes of L_i = t_i M_i for the components M_i of [xloop]_x,
-    the terms that fold_over_y folds the y-loop over."""
-    n = xloop.n
-    zero = RowMatrix.zero(n + 1)
-    return tuple(
-        zero if m.is_zero() else t_left(n, i) * RowMatrix(tuple(zip(*m.entries)))
-        for i, m in enumerate(tau_components_x(xloop), start=1)
-    )
-
-
-def fold_over_x(yloop: FreeWord, xloop: FreeWord) -> MagnusElement:
-    """S from the y-terms R_i and the x-loop folded left to right:
-    acc <- acc X + R_i for x_i, acc <- (acc - R_i) X for x_i^-1."""
-    zero = RowMatrix.zero(yloop.n + 1)
-    return fold_x(xloop, y_terms(yloop), zero, partial(x_right, yloop.n)).element()
-
-
-def fold_over_y(yloop: FreeWord, xloop: FreeWord) -> MagnusElement:
-    """S from the x-terms L_i and the y-loop folded right to left:
-    acc <- Y acc + L_i for y_i, acc <- Y (acc - L_i) for y_i^-1.  The rows
-    held are those of the transposes."""
-    zero = RowMatrix.zero(yloop.n + 1)
-    acc = fold_y(yloop, x_terms(xloop), zero, partial(y_left, yloop.n))
-    return acc.transposed_element()
-
-
 def evaluate_loops(yloop: FreeWord, xloop: FreeWord) -> MagnusElement:
-    """The exact value of <[yloop]_y, [xloop]_x> in the matrix ring, by a
-    fold over the longer loop."""
-    if len(xloop) < len(yloop):
-        return fold_over_y(yloop, xloop)
-    return fold_over_x(yloop, xloop)
+    """The exact value of <[yloop]_y, [xloop]_x> in the matrix ring: the
+    terms R_i of the y-loop and the x-loop folded over them left to right,
+    acc <- acc X + R_i for x_i, acc <- (acc - R_i) X for x_i^-1."""
+    n = yloop.n
+    if n != xloop.n:
+        raise WordError(f"puncture count mismatch: {n} vs {xloop.n}")
+    zero = RowMatrix.zero(n + 1)
+    return fold_x(xloop, y_terms(yloop), zero, partial(x_right, n)).element()
 
 
 def _symbolic_pairing(yc: HomologyClassY, xc: HomologyClassX) -> GroupRingElement:

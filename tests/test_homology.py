@@ -9,11 +9,9 @@ from braidmoves.homology import (
     HomologyClassX,
     HomologyClassY,
     ProvenanceError,
-    _y_word,
     evaluate_x,
     evaluate_y,
     fold_x,
-    fold_y,
     fox_x,
     fox_y,
     left_action,
@@ -277,21 +275,6 @@ def test_fold_x_in_the_group_ring():
         for r, m in zip(rs, fox_x(w).coeffs):
             expected = expected + r * m
         assert fold_x(w, rs, zero, partial(FreeWord.generator, n)) == expected
-
-
-def test_fold_y_in_the_group_ring():
-    # the mirror of fold_x: sum_i c_i l_i over the components c_i of [w]_y
-    rng = random.Random(15)
-    for _ in range(30):
-        n = rng.choice([2, 3, 4])
-        w = rand_free(rng, n, 10)
-        ls = tuple(GroupRingElement.from_word(rand_free(rng, n, 3)) for _ in range(n))
-        zero = GroupRingElement.zero(n)
-        expected = zero
-        for c, r in zip(fox_y(w).coeffs, ls):
-            expected = expected + c * r
-        image = lambda i, s, n=n: GroupRingElement.from_word(_y_word(n, i, s))
-        assert fold_y(w, ls, zero, image) == expected
 
 
 def test_left_action_y_golden():

@@ -475,14 +475,6 @@ def test_kernel_caches_hold_every_small_generator():
         assert cache.cache_info().misses == misses
 
 
-def test_every_krammer_cache_is_bounded_by_kernels():
-    caches = krammer_caches()
-    names = {"_kernel_mod", "_kernel_exact", "_rows", "_rows_bound", "tau_plus_generator"}
-    assert names <= set(caches)
-    bounds = {name: cache.cache_info().maxsize for name, cache in caches.items()}
-    assert bounds == dict.fromkeys(caches, K._KERNELS)
-
-
 def test_large_generator_tables_stay_small_once_built():
     """From empty caches, is_identity of a three-letter braid on B_20, B_40
     and B_60 keeps at most 10 MB once tau on words is cleared: the exact

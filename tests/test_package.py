@@ -1,6 +1,14 @@
-"""The public names of the package."""
+"""The public names of the package, and its memo tables."""
+
+import importlib
+import pkgutil
 
 import braidmoves
+from braidmoves.detect import CLASS_TABLES
+from braidmoves.magnus import TABLES_KEPT
+
+# keyed by (i, sign) alone, so they do not grow with the strand count
+UNBOUNDED = {"words._sigma_table", "words.x_in_y_letters"}
 
 
 def test_every_public_name_resolves():
@@ -13,3 +21,53 @@ def test_star_import_binds_every_public_name():
     namespace = {}
     exec("from braidmoves import *", namespace)
     assert set(braidmoves.__all__) <= set(namespace)
+
+
+def package_caches() -> dict:
+    """The lru caches of the functions that each module of braidmoves
+    defines, by "module.function"."""
+    caches = {}
+    for info in pkgutil.iter_modules(braidmoves.__path__):
+        module = importlib.import_module(f"{braidmoves.__name__}.{info.name}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info") and value.__module__ == module.__name__:
+                caches[f"{info.name}.{name}"] = value
+    return caches
+
+
+def test_every_cache_is_bounded_but_two_sign_tables():
+    # every per-generator and per-strand-count table keeps TABLES_KEPT
+    # entries; tau on words and the class tables have bounds of their own
+    bounds = {name: cache.cache_info().maxsize for name, cache in package_caches().items()}
+    assert {"krammer._rows", "pairing.letter_y_terms", "modcheck.x_mod"} <= set(bounds)
+    expected = dict.fromkeys(bounds, TABLES_KEPT)
+    expected.update(dict.fromkeys(UNBOUNDED))
+    expected.update({"magnus._tau_word": 1 << 15, "detect._class_table": CLASS_TABLES})
+    assert bounds == expected
+
+
+def test_three_to_five_strands_evict_nothing():
+    # from empty tables, scans, word problems and loop pairings on B3 .. B5
+    # (the strand counts of the benchmark) fill no table past 42 keys
+    from braidmoves import entry, is_identity
+    from braidmoves.detect import exchange_certificates, reducing_certificates
+    from braidmoves.pairing import evaluate_loops
+    from braidmoves.words import BraidWord, FreeWord
+
+    tables = [c for c in package_caches().values() if c.cache_info().maxsize == TABLES_KEPT]
+    for cache in tables:
+        cache.cache_clear()
+    for n in (3, 4, 5):
+        b = BraidWord(n, tuple((i, (-1) ** i) for i in range(1, n)))
+        for w in (b, b.inverse()):
+            list(reducing_certificates(w, 1))
+            list(exchange_certificates(w, 1))
+            assert not is_identity(w)
+            entry(w, 1, n)
+        for j in range(1, n + 1):
+            for sign in (1, -1):
+                x = FreeWord.generator(n, j, sign)
+                evaluate_loops(x * x, x.inverse())
+    for cache in tables:
+        info = cache.cache_info()
+        assert info.currsize == info.misses <= 42, (cache.__name__, info)
