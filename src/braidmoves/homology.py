@@ -34,7 +34,7 @@ and modcheck on probe vectors mod p (a row times the y-side prefix, the
 x-side suffix times a column).  fold_x gives the x-side of a pairing
 without its components: it folds the letters of an x-loop over given
 y-side terms, and the pairing module runs it on rows through the table
-x_right, always on the x-loop.
+x_right.
 
 Classes built from a loop word carry that word as provenance; the star
 correspondence and the braid action use it ([w]^* = [w^-1] in the other

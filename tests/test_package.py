@@ -4,8 +4,11 @@ import importlib
 import pkgutil
 
 import braidmoves
-from braidmoves.detect import CLASS_TABLES
+from braidmoves import entry, is_identity
+from braidmoves.detect import CLASS_TABLES, exchange_certificates, reducing_certificates
 from braidmoves.magnus import TABLES_KEPT
+from braidmoves.pairing import evaluate_loops
+from braidmoves.words import BraidWord, FreeWord
 
 # keyed by (i, sign) alone, so they do not grow with the strand count
 UNBOUNDED = {"words._sigma_table", "words.x_in_y_letters"}
@@ -49,11 +52,6 @@ def test_every_cache_is_bounded_but_two_sign_tables():
 def test_three_to_five_strands_evict_nothing():
     # from empty tables, scans, word problems and loop pairings on B3 .. B5
     # (the strand counts of the benchmark) fill no table past 42 keys
-    from braidmoves import entry, is_identity
-    from braidmoves.detect import exchange_certificates, reducing_certificates
-    from braidmoves.pairing import evaluate_loops
-    from braidmoves.words import BraidWord, FreeWord
-
     tables = [c for c in package_caches().values() if c.cache_info().maxsize == TABLES_KEPT]
     for cache in tables:
         cache.cache_clear()
