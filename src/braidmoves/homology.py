@@ -34,7 +34,7 @@ and modcheck on probe vectors mod p (a row times the y-side prefix, the
 x-side suffix times a column).  fold_x gives the x-side of a pairing
 without its components: it folds the letters of an x-loop over given
 y-side terms, and the pairing module runs it on rows through the table
-x_right.
+magnus.letter_right.
 
 Classes built from a loop word carry that word as provenance; the star
 correspondence and the braid action use it ([w]^* = [w^-1] in the other
@@ -97,7 +97,10 @@ class GroupRingElement:
 
     def __add__(self, other: GroupRingElement | FreeWord) -> GroupRingElement:
         other = GroupRingElement._lift(other)
-        self._check(other)
+        try:
+            self._check(other)
+        except AttributeError:  # not an element of ZF_n
+            return NotImplemented
         out = dict(self.terms)
         for w, c in other.terms.items():
             s = out.get(w, 0) + c
@@ -121,7 +124,10 @@ class GroupRingElement:
         if isinstance(other, int):
             return self.scale(other)
         other = GroupRingElement._lift(other)
-        self._check(other)
+        try:
+            self._check(other)
+        except AttributeError:  # not an element of ZF_n
+            return NotImplemented
         out: dict[FreeWord, int] = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
@@ -267,6 +273,8 @@ class HomologyClassY(_HomologyClass):
 def sweep_x(w: FreeWord, one, zero, image) -> tuple:
     """The components of [w]_x: d(l_1 .. l_m) = sum_k d(l_k) (l_{k+1} .. l_m),
     one right-to-left pass over the x-letters."""
+    if not isinstance(w, FreeWord):
+        raise TypeError(f"a sweep reads a FreeWord, not a {type(w).__name__}")
     comps = [zero] * w.n
     suffix = one
     for idx, sign in reversed(w.letters):
@@ -309,6 +317,8 @@ def sweep_y(w: FreeWord, one, zero, image) -> tuple:
     """The components of [w]_y: e(l_1 .. l_m) = sum_k (l_1 .. l_{k-1}) e(l_k),
     one left-to-right pass over w rewritten in the y-letters; image(idx,
     sign) is the image of y_idx^sign."""
+    if not isinstance(w, FreeWord):
+        raise TypeError(f"a sweep reads a FreeWord, not a {type(w).__name__}")
     comps = [zero] * w.n
     prefix = one
     for idx, sign in _y_letters_of(w):
@@ -415,17 +425,11 @@ def _tau_y(n: int, idx: int, sign: int) -> MagnusElement:
     return tau(_y_word(n, idx, sign))
 
 
-# The exact generator tables of the sweeps and the fold, in the one format
-# of magnus.row_table, all on flat rows held in magnus.RowMatrix.  A *_right
-# table multiplies on the right (r -> r G, the transposed_table of G); the
-# *_left table multiplies on the left, applied to the rows of a transpose
-# (the row_table of G).  modcheck reduces x_left and y_right mod P.
-
-
-@lru_cache(maxsize=TABLES_KEPT)
-def x_right(n: int, j: int, sign: int) -> tuple:
-    """r -> r tau(x_j^sign)."""
-    return transposed_table(_tau_letter(n, "x", j, sign))
+# The exact generator tables of the sweeps, in the one format of
+# magnus.row_table, on flat rows held in magnus.RowMatrix: y_right
+# multiplies on the right (r -> r G, the transposed_table of G), x_left on
+# the left, applied to the rows of a transpose (the row_table of G); the
+# fold reads magnus.letter_right.  modcheck reduces x_left and y_right mod P.
 
 
 @lru_cache(maxsize=TABLES_KEPT)

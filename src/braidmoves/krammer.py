@@ -110,9 +110,16 @@ from operator import mul
 from typing import Sequence
 
 from .laurent import ZERO, LaurentPoly
-from .magnus import TABLES_KEPT, MagnusElement, apply_table, map_table, sparse_row_table, tau
+from .magnus import (
+    TABLES_KEPT,
+    MagnusElement,
+    _tau_letter,
+    apply_table,
+    map_table,
+    sparse_row_table,
+)
 from .modcheck import P, poly_mod, probe_vectors
-from .words import BraidWord, FreeWord, WordError, act_letters
+from .words import BraidWord, WordError, act_letters
 
 
 class BlockMatrix:
@@ -198,17 +205,16 @@ def _generator_blocks(n: int, i: int, sign: int) -> tuple:
     pairs in increasing column."""
     if not 1 <= i <= n - 1:
         raise WordError(f"sigma_{i} out of range 1..{n - 1}")
-    ts = tau(BraidWord.generator(n, i, sign))
-    one = MagnusElement.identity(n + 1)
-    txj = tau(FreeWord.generator(n, i + 1))
+    ts = _tau_letter(n, "sigma", i, sign)
+    one_minus_txj = MagnusElement.identity(n + 1) - _tau_letter(n, "x", i + 1, 1)
     rows = [((r, ts),) for r in range(n)]
     a, b = i - 1, i  # 0-based block indices for basis elements e_i, e_{i+1}
     if sign == 1:
-        rows[a] = ((b, ts * tau(FreeWord.generator(n, i))),)
-        rows[b] = ((a, ts), (b, ts * (one - txj)))
+        rows[a] = ((b, ts * _tau_letter(n, "x", i, 1)),)
+        rows[b] = ((a, ts), (b, ts * one_minus_txj))
     else:
-        back = tau(FreeWord.generator(n, i, -1)) * ts  # tau(x_i^-1 sigma_i^-1)
-        rows[a] = ((a, -(one - txj) * back), (b, ts))
+        back = _tau_letter(n, "x", i, -1) * ts  # tau(x_i^-1 sigma_i^-1)
+        rows[a] = ((a, -one_minus_txj * back), (b, ts))
         rows[b] = ((a, back),)
     return tuple(rows)
 

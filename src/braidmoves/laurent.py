@@ -47,8 +47,12 @@ class LaurentPoly:
     # -- ring structure -----------------------------------------------
 
     def __add__(self, other: LaurentPoly) -> LaurentPoly:
+        try:
+            terms = other._terms
+        except AttributeError:  # no type test on the hot path
+            return NotImplemented
         out = dict(self._terms)
-        for k, v in other._terms.items():
+        for k, v in terms.items():
             w = out.get(k, 0) + v
             if w:
                 out[k] = w
@@ -69,9 +73,13 @@ class LaurentPoly:
     def __mul__(self, other: LaurentPoly | int) -> LaurentPoly:
         if isinstance(other, int):
             return self.scale(other)
+        try:
+            oterms = other._terms
+        except AttributeError:
+            return NotImplemented
         out: dict[tuple[int, int], int] = {}
         for (a1, b1), c1 in self._terms.items():
-            for (a2, b2), c2 in other._terms.items():
+            for (a2, b2), c2 in oterms.items():
                 k = (a1 + a2, b1 + b2)
                 w = out.get(k, 0) + c1 * c2
                 if w:

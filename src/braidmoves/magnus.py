@@ -16,8 +16,12 @@ rho sends the generators to:
     row 0 = (q,  -(1-q)^2 at cols 1..j-1,  q(1-q) at col j,  0 after),
     row j = (1-t, (1-t)(1-q) at cols 1..j-1, 1-q+tq at col j, 0 after).
 
+* rho(x_j)^-1: identity except
+    row 0 = (1-t^-1+q^-1t^-1, (q^-1-2+q)t^-1 at cols 1..j-1, (q-1)t^-1 at col j, 0 after),
+    row j = (q^-1(1-t^-1), (q^-1-1)(1-t^-1) at cols 1..j-1, t^-1 at col j, 0 after).
+
 The (0, j) entry q(1-q) is forced: with it, det rho(x_j) = qt (a unit, so
-x_j^-1 has an exact matrix) and the defining relations
+x_j^-1 has the exact matrix above) and the defining relations
 sigma_i x_j sigma_i^-1 = ... hold as matrix identities; flipping its sign
 breaks both.  The relation suite in the tests certifies the whole family,
 including the extension to every n.
@@ -28,14 +32,19 @@ tau(x_j) = q * rho(x_j).  tau extends multiplicatively over words and
 Z-linearly over group-ring elements.  All pairing values live in the image
 of tau.
 
+tau of a word forms no matrix product: the identity's rows are pushed
+through letter_right, the one cached table of tau of each letter, as the
+sweeps and the pairing fold push theirs.  MagnusElement.__mul__ is the
+general product of two matrices.
+
 The lower-right n x n blocks of tau on braid words are exactly the
 unreduced Burau matrices.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from operator import itemgetter
+from functools import lru_cache, reduce
+from operator import itemgetter, mul
 from typing import Iterable, Iterator, Sequence, Union
 
 from .laurent import ONE, Q, T, ZERO, LaurentPoly
@@ -71,12 +80,10 @@ class MagnusElement:
 
     @staticmethod
     def identity(size: int) -> MagnusElement:
-        return MagnusElement(
-            tuple(
-                tuple(ONE if i == j else ZERO for j in range(size))
-                for i in range(size)
-            )
+        rows = (
+            tuple(ONE if i == j else ZERO for j in range(size)) for i in range(size)
         )
+        return MagnusElement(tuple(rows))
 
     @staticmethod
     def zero(size: int) -> MagnusElement:
@@ -91,28 +98,17 @@ class MagnusElement:
             return NotImplemented
         if self.size != other.size:
             raise ValueError(f"size mismatch: {self.size} vs {other.size}")
-        m = self.size
         cols = list(zip(*other.entries))
-        out = []
-        for row in self.entries:
-            live = [(k, p) for k, p in enumerate(row) if p]
-            out.append(
-                tuple(
-                    _dot(live, col)
-                    for col in cols
-                )
-            )
-        return MagnusElement(tuple(out))
+        lives = ([(k, p) for k, p in enumerate(row) if p] for row in self.entries)
+        return MagnusElement([[_dot(live, col) for col in cols] for live in lives])
 
     def __add__(self, other: MagnusElement) -> MagnusElement:
+        if not isinstance(other, MagnusElement):
+            return NotImplemented
         if self.size != other.size:
             raise ValueError(f"size mismatch: {self.size} vs {other.size}")
-        return MagnusElement(
-            tuple(
-                tuple(a + b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.entries, other.entries)
-            )
-        )
+        pairs = zip(self.entries, other.entries)
+        return MagnusElement([[a + b for a, b in zip(r1, r2)] for r1, r2 in pairs])
 
     def __neg__(self) -> MagnusElement:
         return MagnusElement(tuple(tuple(-p for p in row) for row in self.entries))
@@ -285,79 +281,50 @@ class RowMatrix:
 
 _ONE_MINUS_Q = ONE - Q
 _ONE_MINUS_T = ONE - T
+_QINV = LaurentPoly.monomial(-1, 0)
+_TINV = LaurentPoly.monomial(0, -1)
 
 
 def rho_sigma(n: int, i: int, sign: int = 1) -> MagnusElement:
     """rho of sigma_i^sign in G_n, an (n+1) x (n+1) matrix."""
     if not 1 <= i <= n - 1:
         raise WordError(f"sigma_{i} out of range 1..{n - 1}")
-    rows = [[ONE if r == c else ZERO for c in range(n + 1)] for r in range(n + 1)]
+    rows = RowMatrix.identity(n + 1).rows
     if sign == 1:
-        rows[i][i], rows[i][i + 1] = ZERO, Q
-        rows[i + 1][i], rows[i + 1][i + 1] = ONE, _ONE_MINUS_Q
+        rows[i][i : i + 2], rows[i + 1][i : i + 2] = (ZERO, Q), (ONE, _ONE_MINUS_Q)
     else:
-        qinv = LaurentPoly.monomial(-1, 0)
-        rows[i][i], rows[i][i + 1] = ONE - qinv, ONE
-        rows[i + 1][i], rows[i + 1][i + 1] = qinv, ZERO
-    return MagnusElement(tuple(tuple(r) for r in rows))
+        rows[i][i : i + 2], rows[i + 1][i : i + 2] = (ONE - _QINV, ONE), (_QINV, ZERO)
+    return MagnusElement(rows)
 
 
 def rho_x(n: int, j: int, sign: int = 1) -> MagnusElement:
-    """rho of x_j^sign in G_n, an (n+1) x (n+1) matrix."""
+    """rho of x_j^sign in G_n, an (n+1) x (n+1) matrix: the identity but
+    for rows 0 and j, written out for both signs."""
     if not 1 <= j <= n:
         raise WordError(f"x{j} out of range 1..{n}")
-    if sign == -1:
-        return _invert_x_matrix(rho_x(n, j, 1), j)
-    rows = [[ONE if r == c else ZERO for c in range(n + 1)] for r in range(n + 1)]
-    row0 = [ZERO] * (n + 1)
-    row0[0] = Q
-    for c in range(1, j):
-        row0[c] = -(_ONE_MINUS_Q * _ONE_MINUS_Q)
-    row0[j] = Q * _ONE_MINUS_Q
-    rowj = [ZERO] * (n + 1)
-    rowj[0] = _ONE_MINUS_T
-    for c in range(1, j):
-        rowj[c] = _ONE_MINUS_T * _ONE_MINUS_Q
-    rowj[j] = ONE - Q + T * Q
-    rows[0] = row0
-    rows[j] = rowj
-    return MagnusElement(tuple(tuple(r) for r in rows))
+    if sign == 1:
+        row0 = (Q, -(_ONE_MINUS_Q * _ONE_MINUS_Q), Q * _ONE_MINUS_Q)
+        rowj = (_ONE_MINUS_T, _ONE_MINUS_T * _ONE_MINUS_Q, ONE - Q + T * Q)
+    else:
+        row0 = (ONE - _TINV + _QINV * _TINV, (_QINV + Q - ONE - ONE) * _TINV, (Q - ONE) * _TINV)
+        rowj = (_QINV * (ONE - _TINV), (_QINV - ONE) * (ONE - _TINV), _TINV)
+    rows = RowMatrix.identity(n + 1).rows
+    for r, (first, middle, last) in ((0, row0), (j, rowj)):
+        rows[r] = [first, *[middle] * (j - 1), last, *[ZERO] * (n - j)]
+    return MagnusElement(rows)
 
 
-def _invert_x_matrix(m: MagnusElement, j: int) -> MagnusElement:
-    # m = I + e_0 u^T + e_j v^T differs from the identity in rows 0 and j
-    # only, so its inverse has the same shape:  m^-1 = I - [e_0 e_j] K [u; v]
-    # with K the inverse of the 2x2 core [[m00, m0j], [mj0, mjj]], whose
-    # determinant is the unit qt.
-    size = m.size
-    u = [m[0, c] - (ONE if c == 0 else ZERO) for c in range(size)]
-    v = [m[j, c] - (ONE if c == j else ZERO) for c in range(size)]
-    det = m[0, 0] * m[j, j] - m[0, j] * m[j, 0]
-    terms = list(det.terms())
-    if len(terms) != 1 or abs(terms[0][1]) != 1:
-        raise ValueError("core determinant is not a unit monomial")
-    (a, b), c = terms[0]
-    inv_det = LaurentPoly.monomial(-a, -b, c)
-    k00 = m[j, j] * inv_det
-    k01 = -m[0, j] * inv_det
-    k10 = -m[j, 0] * inv_det
-    k11 = m[0, 0] * inv_det
-    rows = [[ONE if r == c else ZERO for c in range(size)] for r in range(size)]
-    for c in range(size):
-        corr0 = k00 * u[c] + k01 * v[c]
-        corrj = k10 * u[c] + k11 * v[c]
-        if corr0:
-            rows[0][c] = rows[0][c] - corr0
-        if corrj:
-            rows[j][c] = rows[j][c] - corrj
-    return MagnusElement(tuple(tuple(r) for r in rows))
-
-
-@lru_cache(maxsize=TABLES_KEPT)
 def _tau_letter(n: int, kind: str, index: int, sign: int) -> MagnusElement:
     if kind == "sigma":
         return rho_sigma(n, index, sign)
     return rho_x(n, index, sign).scale(LaurentPoly.monomial(sign, 0))
+
+
+@lru_cache(maxsize=TABLES_KEPT)
+def letter_right(n: int, kind: str, index: int, sign: int) -> tuple:
+    """r -> r tau(l) on flat rows, for the letter l = sigma_index^sign
+    (kind "sigma") or x_index^sign (kind "x"): the one table per letter."""
+    return transposed_table(_tau_letter(n, kind, index, sign))
 
 
 WordLike = Union[BraidWord, FreeWord]
@@ -367,21 +334,17 @@ def deg(pieces: Union[WordLike, Iterable[WordLike]]) -> int:
     """Exponent sum in the x-letters; braid letters contribute 0."""
     if isinstance(pieces, (BraidWord, FreeWord)):
         pieces = (pieces,)
-    total = 0
-    for piece in pieces:
-        if isinstance(piece, FreeWord):
-            total += piece.exponent_sum()
-    return total
+    return sum(piece.exponent_sum() for piece in pieces if isinstance(piece, FreeWord))
 
 
 @lru_cache(maxsize=1 << 15)
 def _tau_word(piece: WordLike) -> MagnusElement:
     n = piece.n
     kind = "sigma" if isinstance(piece, BraidWord) else "x"
-    acc = MagnusElement.identity(n + 1)
+    acc = RowMatrix.identity(n + 1)
     for idx, sign in piece.letters:
-        acc = acc * _tau_letter(n, kind, idx, sign)
-    return acc
+        acc = acc * letter_right(n, kind, idx, sign)
+    return acc.element()
 
 
 def tau(arg, n: int | None = None) -> MagnusElement:
@@ -394,27 +357,19 @@ def tau(arg, n: int | None = None) -> MagnusElement:
     if isinstance(arg, (BraidWord, FreeWord)):
         return _tau_word(arg)
     if hasattr(arg, "tau_terms"):  # GroupRingElement-like
-        size = arg.n + 1
-        acc = MagnusElement.zero(size)
+        acc = MagnusElement.zero(arg.n + 1)
         for word, coeff in arg.tau_terms():
             acc = acc + _tau_word(word).scale(coeff)
         return acc
     pieces = list(arg)
-    if not pieces:
-        if n is None:
-            raise ValueError("tau of an empty sequence needs an explicit n")
-        return MagnusElement.identity(n + 1)
-    acc = _tau_word(pieces[0])
-    for piece in pieces[1:]:
-        acc = acc * _tau_word(piece)
-    return acc
+    if not pieces and n is None:
+        raise ValueError("tau of an empty sequence needs an explicit n")
+    return reduce(mul, map(_tau_word, pieces)) if pieces else MagnusElement.identity(n + 1)
 
 
 def burau_block(m: MagnusElement) -> MagnusElement:
-    """Lower-right n x n submatrix (rows/cols 1..n).
-
-    On tau of a braid word this is the unreduced Burau matrix.
-    """
+    """Lower-right n x n submatrix (rows/cols 1..n): on tau of a braid word,
+    the unreduced Burau matrix."""
     return MagnusElement(tuple(row[1:] for row in m.entries[1:]))
 
 

@@ -20,12 +20,12 @@ through sparse generator tables) and they are multiplied by the t_i
 through the table of t_i, giving the terms R_i = C_i t_i (y_terms).  The
 x-loop is folded over those terms with one accumulator, left to right:
 acc <- acc X + R_i for x_i and acc <- (acc - R_i) X for x_i^-1
-(homology.fold_x over the tables x_right), so its components are never
-formed.  The result is the full exact (n+1) x (n+1) value.  The y-loop
-is swept whatever the lengths: against an x-loop of two or three letters,
-a random y-loop of 40-126 letters takes 1.3-1.6x what a fold over the
-y-loop took (B3, B4), and a conjugate b(x_i)^-1 of about a hundred letters
-about half.
+(homology.fold_x over magnus.letter_right, the tables tau of a word reads),
+so its components are never formed.  The result is the full exact
+(n+1) x (n+1) value.  The y-loop is swept whatever the lengths: against an
+x-loop of two or three letters, a random y-loop of 40-126 letters takes
+1.3-1.6x what a fold over the y-loop took (B3, B4), and a conjugate
+b(x_i)^-1 of about a hundred letters about half.
 
 The terms R_i of a one-letter y-loop x_j^sign are constants of the
 representation.  letter_y_terms keeps them per (n, j, sign), built on
@@ -56,9 +56,8 @@ from .homology import (
     fox_x,
     fox_y,
     tau_components_y,
-    x_right,
 )
-from .magnus import TABLES_KEPT, MagnusElement, RowMatrix, tau, transposed_table
+from .magnus import TABLES_KEPT, MagnusElement, RowMatrix, letter_right, tau, transposed_table
 from .words import FreeWord, WordError
 
 logger = logging.getLogger(__name__)
@@ -230,11 +229,13 @@ def evaluate_loops(yloop: FreeWord, xloop: FreeWord) -> MagnusElement:
     """The exact value of <[yloop]_y, [xloop]_x> in the matrix ring: the
     terms R_i of the y-loop and the x-loop folded over them left to right,
     acc <- acc X + R_i for x_i, acc <- (acc - R_i) X for x_i^-1."""
+    if not isinstance(yloop, FreeWord) or not isinstance(xloop, FreeWord):
+        raise TypeError("a loop pairing reads two FreeWords")
     n = yloop.n
     if n != xloop.n:
         raise WordError(f"puncture count mismatch: {n} vs {xloop.n}")
     zero = RowMatrix.zero(n + 1)
-    return fold_x(xloop, y_terms(yloop), zero, partial(x_right, n)).element()
+    return fold_x(xloop, y_terms(yloop), zero, partial(letter_right, n, "x")).element()
 
 
 def _symbolic_pairing(yc: HomologyClassY, xc: HomologyClassX) -> GroupRingElement:

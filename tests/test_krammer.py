@@ -478,9 +478,9 @@ def test_kernel_caches_hold_every_small_generator():
 def test_large_generator_tables_stay_small_once_built():
     """From empty caches, is_identity of a three-letter braid on B_20, B_40
     and B_60 keeps at most 10 MB once tau on words is cleared: the exact
-    tables, the mod-P kernels and the tau of each letter, but not the
+    tables, the mod-P kernels and the table of each letter, but not the
     generators' blocks."""
-    for cache in (*krammer_caches().values(), M._tau_letter, M._tau_word):
+    for cache in (*krammer_caches().values(), M.letter_right, M._tau_word):
         cache.cache_clear()
     gc.collect()
     tracemalloc.start()

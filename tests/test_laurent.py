@@ -2,7 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braidmoves.homology import GroupRingElement
 from braidmoves.laurent import ONE, Q, T, ZERO, LaurentPoly
+from braidmoves.magnus import MagnusElement
+from braidmoves.words import FreeWord
 
 polys = st.dictionaries(
     st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
@@ -69,3 +72,26 @@ def test_text_form():
 def test_negative_power_rejected():
     with pytest.raises(ValueError):
         (ONE + Q) ** -1
+
+
+X1 = FreeWord.generator(3, 1)
+
+
+@pytest.mark.parametrize(
+    "mixed",
+    [
+        lambda: Q + 1,
+        lambda: Q - 1,
+        lambda: Q + X1,
+        lambda: Q * X1,
+        lambda: GroupRingElement.from_word(X1) + Q,
+        lambda: GroupRingElement.from_word(X1) * "x",
+        lambda: MagnusElement.identity(4) + 1,
+        lambda: MagnusElement.identity(4) - 1,
+    ],
+    ids=["poly+int", "poly-int", "poly+word", "poly*word", "ring+poly", "ring*str",
+         "matrix+int", "matrix-int"],
+)
+def test_mixed_type_ring_arithmetic_raises_type_error(mixed):
+    with pytest.raises(TypeError):
+        mixed()

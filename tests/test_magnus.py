@@ -184,6 +184,53 @@ def test_mixed_words_match_oracle():
             assert rows(got) == oracle_tau_word(n, letters)
 
 
+def test_tau_of_a_word_forms_no_matrix_product(monkeypatch):
+    """tau of a word pushes rows through one table per letter: with the
+    matrix product disabled, tau of braid and free words, the y-basis
+    tables, t_i and the y-side components still build, and tau agrees with
+    the oracle (with the product of the oracle's letters on free words
+    longer than the oracle handles quickly)."""
+    from braidmoves.homology import tau_components_y, y_right
+    from braidmoves.magnus import _tau_word
+    from braidmoves.pairing import t_element
+
+    for cache in (_tau_word, y_right, t_element):
+        cache.cache_clear()
+
+    def refuse(self, other):
+        raise AssertionError("tau of a word formed a matrix product")
+
+    monkeypatch.setattr(MagnusElement, "__mul__", refuse)
+    rng = random.Random(20)
+    built = []
+    for n in range(2, 7):
+        for kind, word_type, top in (("sigma", BraidWord, n - 1), ("x", FreeWord, n)):
+            for length in (1, 2, 8, 30):
+                for sign in (1, -1):
+                    letters = [(kind, rng.randint(1, top), sign)]
+                    letters += [
+                        (kind, rng.randint(1, top), rng.choice((1, -1)))
+                        for _ in range(length - 1)
+                    ]
+                    word = word_type(n, tuple((i, s) for _, i, s in letters))
+                    built.append((n, letters, tau(word)))
+        for i in range(1, n + 1):
+            t_element(n, i)
+            for sign in (1, -1):
+                y_right(n, i, sign)
+        loop = FreeWord(n, tuple((rng.randint(1, n), rng.choice((1, -1))) for _ in range(30)))
+        tau_components_y(loop)
+    monkeypatch.undo()
+    for n, letters, got in built:
+        if letters[0][0] == "sigma" or len(letters) <= 8:
+            assert rows(got) == oracle_tau_word(n, letters)
+        else:
+            expected = MagnusElement.identity(n + 1)
+            for letter in letters:
+                expected = expected * MagnusElement(oracle_tau_word(n, [letter]))
+            assert got == expected
+
+
 # -- tau structure -------------------------------------------------------------
 
 

@@ -1,7 +1,10 @@
 """The public names of the package, and its memo tables."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import braidmoves
 from braidmoves import entry, is_identity
@@ -47,6 +50,23 @@ def test_every_cache_is_bounded_but_two_sign_tables():
     expected.update(dict.fromkeys(UNBOUNDED))
     expected.update({"magnus._tau_word": 1 << 15, "detect._class_table": CLASS_TABLES})
     assert bounds == expected
+    assert len(bounds) == 22
+
+
+def test_importing_builds_no_table():
+    # set-up time is import plus table build: no table is built on import
+    script = (
+        "import braidmoves, braidmoves.cli\n"
+        "import test_package\n"
+        "print(sorted(n for n, c in test_package.package_caches().items()"
+        " if c.cache_info().currsize))\n"
+    )
+    path = os.pathsep.join([os.path.dirname(__file__), *sys.path])
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_three_to_five_strands_evict_nothing():

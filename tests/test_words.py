@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braidmoves.homology import fox_x, fox_y
+from braidmoves.modcheck import x_column, y_row
+from braidmoves.pairing import evaluate_loops, pair_loops
 from braidmoves.words import (
     MAX_WORD_LETTERS,
     BraidWord,
@@ -293,6 +296,20 @@ def test_braid_applied_to_a_braid_word_raises_type_error():
         s2(BraidWord.parse("1 2", 3))
     with pytest.raises(TypeError):
         s2(((1, 1), (2, 1)))
+    # the sweeps and the pairing fold read loop words alone
+    b, x2 = BraidWord.parse("1 2", 3), FreeWord.generator(3, 2)
+    for read in (
+        lambda: fox_x(b),
+        lambda: fox_y(b),
+        lambda: x_column(b),
+        lambda: y_row(b),
+        lambda: evaluate_loops(s2.inverse(), x2),
+        lambda: evaluate_loops(x2, b),
+        lambda: pair_loops(b, x2).is_zero(),
+        lambda: pair_loops(x2, b).evaluated,
+    ):
+        with pytest.raises(TypeError):
+            read()
 
 
 def test_word_types_compare_by_type_and_value():
