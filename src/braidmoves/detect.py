@@ -85,7 +85,7 @@ from typing import Iterator
 from .krammer import _push_mod, tau_plus
 from .modcheck import P, x_column, y_row
 from .pairing import pair_loops
-from .words import BraidWord, FreeWord, WordError
+from .words import SEPARATOR, BraidWord, FreeWord, WordError, act_code, encode
 
 REDUCE_POSITIVE = "reduce_positive"
 REDUCE_NEGATIVE = "reduce_negative"
@@ -463,64 +463,83 @@ def find_joint_braid(v_word: FreeWord, w_word: FreeWord, depth: int) -> BraidWor
     first meeting state in scan order wins, so the scan stays state-major
     (each state with every letter in turn), unlike _orbit's letter-major
     levels: another order returns another psi, and another rewrite.
+
+    A state is one string, the coded words of A and B (words.encode)
+    joined by words.SEPARATOR, so that g(A), g(B) is one words.act_code.
+    Each table maps a state to its parent state and the position of the
+    generator that led to it; psi is spelled out only at a meeting, by
+    walking both parent chains.  The states, their scan order and the two
+    caps are those of a search over pairs of FreeWords, so the same psi,
+    or None, comes out.
     """
     if depth < 0:
         raise WordError("depth must be >= 0")
     n = v_word.n
     if w_word.n != n:
         raise WordError("puncture count mismatch")
-    start = (FreeWord.generator(n, n - 1), FreeWord.generator(n, n))
-    target = (v_word, w_word)
+    x_pair = (FreeWord.generator(n, n - 1), FreeWord.generator(n, n))
+    start = encode(x_pair[0].letters) + SEPARATOR + encode(x_pair[1].letters)
+    target = encode(v_word.letters) + SEPARATOR + encode(w_word.letters)
     if start == target:
         return BraidWord.identity(n)
-    gens = [BraidWord.generator(n, i, s) for i in range(1, n) for s in (1, -1)]
+    gens = [(i, s) for i in range(1, n) for s in (1, -1)]
 
-    # forward[S] = word w with w(start) = S; backward[S] = word w with
-    # w(S) = target.  Meeting at M gives psi = backward[M] * forward[M]:
-    # psi(start) = backward[M](forward[M](start)) = backward[M](M) = target.
-    forward: dict[tuple[FreeWord, FreeWord], BraidWord] = {start: BraidWord.identity(n)}
-    backward: dict[tuple[FreeWord, FreeWord], BraidWord] = {target: BraidWord.identity(n)}
+    # forward[S] = (parent, k) with S = g_k(parent), up to forward[start] =
+    # None; backward[S] likewise from the target.  The words they spell,
+    # F(S) with F(S)(start) = S and R(S) with R(S)(S) = target, give
+    # psi = R(M) F(M) at a meeting state M.
+    forward: dict[str, tuple[str, int] | None] = {start: None}
+    backward: dict[str, tuple[str, int] | None] = {target: None}
     front_f, front_b = [start], [target]
     depth_f = depth_b = 0
-    letters = len(start[0]) + len(start[1]) + len(v_word) + len(w_word)
+    letters = len(start) + len(target) - 2
 
-    def expand(front, table, backwards):
-        # state transition S -> g(S); the stored word gains g on the left
-        # going forward (g . w maps start to g(S)), or g^-1 on the right
-        # going backward (w . g^-1 maps g(S) to the target).  None once
-        # the two tables hold MAX_JOINT_STATES states or MAX_JOINT_LETTERS
-        # letters.
+    def expand(front, table):
+        # state transition S -> g(S); None once the two tables hold
+        # MAX_JOINT_STATES states or MAX_JOINT_LETTERS letters.
         nonlocal letters
         new_front = []
         for state in front:
-            word = table[state]
-            for g in gens:
-                nxt = (g(state[0]), g(state[1]))
+            for k, (i, sign) in enumerate(gens):
+                nxt = act_code(i, sign, state)
                 if nxt not in table:
-                    letters += len(nxt[0]) + len(nxt[1])
+                    letters += len(nxt) - 1
                     if (
                         len(forward) + len(backward) >= MAX_JOINT_STATES
                         or letters > MAX_JOINT_LETTERS
                     ):
                         return None
-                    table[nxt] = word * g.inverse() if backwards else g * word
+                    table[nxt] = (state, k)
                     new_front.append(nxt)
         return new_front
+
+    def spell(table, state, backwards):
+        # the word gains g on the left going forward (g F(S) maps start to
+        # g(S)), or g^-1 on the right going backward (R(S) g^-1 maps g(S)
+        # to the target)
+        path = []
+        while table[state] is not None:
+            state, k = table[state]
+            path.append(BraidWord.generator(n, *gens[k]))
+        word = BraidWord.identity(n)
+        for g in reversed(path):
+            word = word * g.inverse() if backwards else g * word
+        return word
 
     while depth_f + depth_b < depth and (front_f or front_b):
         # grow the smaller frontier first
         if front_f and (not front_b or len(front_f) <= len(front_b)):
-            fresh = front_f = expand(front_f, forward, backwards=False)
+            fresh = front_f = expand(front_f, forward)
             depth_f += 1
         else:
-            fresh = front_b = expand(front_b, backward, backwards=True)
+            fresh = front_b = expand(front_b, backward)
             depth_b += 1
         if fresh is None:
             return None
         for state in fresh:
             if state in forward and state in backward:
-                psi = backward[state] * forward[state]
-                if psi(start[0]) == v_word and psi(start[1]) == w_word:
+                psi = spell(backward, state, True) * spell(forward, state, False)
+                if psi(x_pair[0]) == v_word and psi(x_pair[1]) == w_word:
                     return psi
     return None
 

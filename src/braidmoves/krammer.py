@@ -119,7 +119,7 @@ from .magnus import (
     sparse_row_table,
 )
 from .modcheck import P, poly_mod, probe_vectors
-from .words import BraidWord, WordError, act_letters
+from .words import BraidWord, WordError, act_within
 
 
 class BlockMatrix:
@@ -738,11 +738,11 @@ def _fixes_generators(b: BraidWord) -> bool | None:
     """Whether b(x_k) = x_k for k = 1 .. n, or None once an intermediate
     word grows past ACTION_LETTER_BUDGET letters."""
     for k in range(1, b.n + 1):
-        x = letters = ((k, 1),)
-        for letters in act_letters(b, x):
-            if len(letters) > ACTION_LETTER_BUDGET:
-                return None
-        if letters != x:
+        x = ((k, 1),)
+        image = act_within(b, x, ACTION_LETTER_BUDGET)
+        if image is None:
+            return None
+        if image != x:
             return False
     return True
 

@@ -26,11 +26,36 @@ check it: the generator rules depend on n.  Both word types share one
 implementation (the private base _Word) of the checks, free reduction and
 the group operations.  A product takes two words of one type, and a braid
 acts on free words only; a mixed operand raises TypeError.
+
+The action runs on a coded form of the free word (encode, decode): one
+character chr(2 i + (sign < 0)) per letter x_i^sign, so that the code of
+an inverse letter is the code XOR 1.  sigma_i^sign acts by one
+str.translate of the codes of x_i^+-1 and x_{i+1}^+-1 into the codes of
+their images, then one removal of a single pair (act_code):
+
+* sigma_i sends x_i^+-1 to x_{i+1}^+-1 and x_{i+1}^+-1 to
+  x_{i+1}^-1 x_i^+-1 x_{i+1}.  The input is reduced and every other
+  letter is fixed, so letters can cancel only where two images meet.
+  An image ends in x_{i+1} and the next one begins with x_{i+1}^-1, or
+  they are the images of x_i^-1 x_i, which a reduced word does not
+  hold.  So only x_{i+1} x_{i+1}^-1 cancels, and once it goes, what meets
+  no longer cancels: two middle letters x_i^+-1 of images of x_{i+1}^+-1,
+  which are not inverse since the word was reduced, or a letter of index
+  i against one of index i + 1.
+* sigma_i^-1 sends x_{i+1}^+-1 to x_i^+-1 and x_i^+-1 to
+  x_i x_{i+1}^+-1 x_i^-1; in the same way only x_i^-1 x_i cancels.
+
+The tests hold this to the letter-by-letter action with full reduction,
+on every reduced word of up to five letters around the moved ones.
+x_i^-1 has a code only while 2 i + 1 is a code point, so indices stop
+at MAX_CODED_INDEX; acting on a later letter, or by a generator that
+moves one, raises WordError.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
@@ -39,8 +64,7 @@ Letter = tuple[int, int]  # (index, sign) with sign in {+1, -1}
 
 
 def _reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
-    # letters that are tuples already are kept, not copied: the words of a
-    # search then share the few letter objects of the generator tables
+    # letters that are tuples already are kept, not copied
     out: list[Letter] = []
     for letter in letters:
         idx, sign = letter
@@ -221,10 +245,7 @@ class BraidWord(_Word):
             raise TypeError(f"a braid acts on a FreeWord, not on {type(w).__name__}")
         if self.n != w.n:
             raise WordError(f"strand count mismatch: {self.n} vs {w.n}")
-        letters = w.letters
-        for i, sign in reversed(self.letters):
-            letters = _apply_sigma(i, sign, letters)
-        return _trusted(FreeWord, self.n, letters)
+        return _trusted(FreeWord, self.n, act_within(self, w.letters, sys.maxsize))
 
     def __str__(self) -> str:
         if not self.letters:
@@ -235,40 +256,83 @@ class BraidWord(_Word):
         return f"BraidWord({self.n}, {str(self) or '1'})"
 
 
+MAX_CODED_INDEX = (0x10FFFF - 1) // 2
+"""The largest generator index that has a code: the code of x_i^-1,
+2 i + 1, must be a code point."""
+
+
+def encode(letters: tuple[Letter, ...]) -> str:
+    """The coded form of a word: one character, chr(2 i + (sign < 0)), per
+    letter, so that the code of an inverse letter is the code XOR 1."""
+    try:
+        return "".join([chr(2 * i + (s < 0)) for i, s in letters])
+    except ValueError:
+        i = max(i for i, _ in letters)
+        raise WordError(f"x{i} has no code: indices stop at {MAX_CODED_INDEX}") from None
+
+
+SEPARATOR = "\x01"
+"""The code of x_0^-1, which no letter has: words coded and joined by it
+are acted on at once, and the action never moves or cancels it."""
+
+
+class _Letters(dict):
+    """The letter of each code met so far, so that a decoded word holds one
+    tuple per distinct letter, not one per position."""
+
+    def __missing__(self, c: str) -> Letter:
+        code = ord(c)
+        letter = self[c] = (code >> 1, -1 if code & 1 else 1)
+        return letter
+
+
+_LETTERS = _Letters()
+
+
+def decode(code: str) -> tuple[Letter, ...]:
+    """The letters of a coded word."""
+    return tuple(map(_LETTERS.__getitem__, code))
+
+
 @lru_cache(maxsize=None)
-def _sigma_table(i: int, sign: int) -> dict[Letter, tuple[Letter, ...]]:
-    """The image of each signed letter that sigma_i^sign moves, by the
-    generator rules of the module docstring; other letters are fixed."""
+def _sigma_table(i: int, sign: int) -> tuple[dict[int, str], str]:
+    """The coded images of the letters that sigma_i^sign moves, by the
+    generator rules of the module docstring (other letters are fixed), and
+    the one pair of coded letters that can cancel in the image of a
+    reduced word."""
+    if i >= MAX_CODED_INDEX:
+        raise WordError(f"sigma_{i} moves x{i + 1}, which has no code")
     if sign == 1:
         images = {i: ((i + 1, 1),), i + 1: ((i + 1, -1), (i, 1), (i + 1, 1))}
+        pair = ((i + 1, 1), (i + 1, -1))
     else:
         images = {i + 1: ((i, 1),), i: ((i, 1), (i + 1, 1), (i, -1))}
+        pair = ((i, -1), (i, 1))
     table = {}
     for idx, img in images.items():
-        table[(idx, 1)] = img
-        table[(idx, -1)] = _inverse(img)
-    return table
+        table[2 * idx] = encode(img)
+        table[2 * idx + 1] = encode(_inverse(img))
+    return table, encode(pair)
 
 
-def _apply_sigma(i: int, sign: int, letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
-    table = _sigma_table(i, sign)
-    out: list[Letter] = []
-    for letter in letters:
-        img = table.get(letter)
-        if img is None:
-            out.append(letter)
-        else:
-            out += img
-    return _reduce(out)
+def act_code(i: int, sign: int, code: str) -> str:
+    """sigma_i^sign applied to a coded reduced word, or to coded words
+    joined by SEPARATOR: one translation and one removal of the cancelling
+    pair."""
+    table, pair = _sigma_table(i, sign)
+    return code.translate(table).replace(pair, "")
 
 
-def act_letters(b: BraidWord, letters: tuple[Letter, ...]) -> Iterator[tuple[Letter, ...]]:
-    """The reduced words g_k(letters), g_{k-1}(g_k(letters)), ..., b(letters)
-    for b = g_1 ... g_k, one per letter of b (rightmost first), so that a
-    caller can stop the action early."""
+def act_within(b: BraidWord, letters: tuple[Letter, ...], limit: int) -> tuple[Letter, ...] | None:
+    """The reduced word b(letters), or None as soon as one of the words
+    g_k(letters), g_{k-1}(g_k(letters)), ... for b = g_1 ... g_k (rightmost
+    letter first) is longer than limit letters."""
+    code = encode(letters)
     for i, sign in reversed(b.letters):
-        letters = _apply_sigma(i, sign, letters)
-        yield letters
+        code = act_code(i, sign, code)
+        if len(code) > limit:
+            return None
+    return decode(code)
 
 
 def y_basis_word(i: int, n: int) -> FreeWord:

@@ -2,6 +2,7 @@ import json
 
 from braidmoves import krammer
 from braidmoves.cli import EXIT_NOT_FOUND, EXIT_OK, EXIT_USAGE, main
+from braidmoves.words import MAX_CODED_INDEX
 
 
 def run(capsys, *args):
@@ -166,6 +167,15 @@ def test_oversized_words_rejected(capsys):
     ):
         code, _, err = run(capsys, *args)
         assert code == EXIT_USAGE and "error" in err
+
+
+def test_letters_without_a_code_rejected(capsys):
+    # x_{MAX_CODED_INDEX + 1} has no code: acting on it, or by the
+    # generator that moves it, is a usage error
+    n = str(MAX_CODED_INDEX + 1)
+    for braid, word in (("1", f"x{n}"), (str(MAX_CODED_INDEX), "x1")):
+        code, _, err = run(capsys, "act", "-n", n, braid, word)
+        assert code == EXIT_USAGE and "no code" in err
 
 
 def test_oversized_exact_products_rejected(capsys, monkeypatch):

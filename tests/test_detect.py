@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+import _action
 import braidmoves.detect as D
 from braidmoves.cli import EXIT_NOT_FOUND, main
 from braidmoves.detect import (
@@ -706,6 +707,76 @@ def test_find_joint_braid_state_budget(monkeypatch):
         m.setattr(D, "MAX_JOINT_LETTERS", 40)
         assert find_joint_braid(*target, 6) is None
     assert find_joint_braid(*target, 6) is not None
+
+
+def joint_targets(rng, n, count, max_len):
+    for _ in range(count):
+        psi = rand_braid(rng, n, max_len)
+        yield psi(FreeWord.generator(n, n - 1)), psi(FreeWord.generator(n, n))
+
+
+def test_find_joint_braid_equals_the_pair_search():
+    # the coded search returns the psi, or the None, of the search over
+    # pairs of FreeWords: on seeded targets of length <= 6, and on pairs
+    # that no braid reaches
+    rng = random.Random(2104)
+    for n in (3, 4, 5):
+        for v, w in joint_targets(rng, n, 40, 6):
+            assert find_joint_braid(v, w, 6) == _action.joint_braid(v, w, 6), (v, w)
+    unreachable = [
+        (FreeWord.parse("x1 x2", 4), FreeWord.generator(4, 2), 7),
+        (FreeWord.generator(4, 1), FreeWord.parse("x2 x4 x2^-1", 4), 3),
+        (FreeWord.generator(3, 1), FreeWord.generator(3, 1), 6),
+        (FreeWord.parse("x1^-1", 5), FreeWord.generator(5, 2), 5),
+    ]
+    for v, w, depth in unreachable:
+        assert find_joint_braid(v, w, depth) is None
+        assert _action.joint_braid(v, w, depth) is None
+
+
+def test_find_joint_braid_equals_the_pair_search_in_the_pipeline(monkeypatch):
+    # the searches of the unknot pipeline's two rewrites
+    searches = []
+
+    def record(v, w, depth):
+        searches.append((v, w, depth))
+        return find_joint_braid(v, w, depth)
+
+    monkeypatch.setattr(D, "find_joint_braid", record)
+    morton_cert = detect_exchange(MORTON, 2)
+    target2 = (
+        FreeWord.parse("x1 x2 x3 x4 x3^-1 x2^-1 x1^-1", 4),
+        FreeWord.parse("x1 x2 x3 x2^-1 x1^-1", 4),
+    )
+    beta1_cert = next(
+        c
+        for c in exchange_certificates(BETA1, 3)
+        if (c.witnesses[0].word, c.witnesses[1].word) == target2
+    )
+    assert rewrite_exchange(MORTON, morton_cert, 8) is not None
+    assert rewrite_exchange(BETA1, beta1_cert, 14) is not None
+    assert len(searches) >= 3
+    for v, w, depth in searches:
+        psi = find_joint_braid(v, w, depth)
+        assert psi is not None and psi == _action.joint_braid(v, w, depth)
+
+
+def test_find_joint_braid_caps_trip_at_the_same_state(monkeypatch):
+    # uncapped, this search stores 138 states and 1 450 letters; under
+    # every smaller cap both searches give up at the same stored state,
+    # and under every larger one they find the same psi
+    n = 5
+    psi = BraidWord.parse("-2 1 3 -1 4 2 -3", n)
+    target = (psi(FreeWord.generator(n, 4)), psi(FreeWord.generator(n, 5)))
+    for name, caps in (("MAX_JOINT_STATES", range(1, 150)), ("MAX_JOINT_LETTERS", range(1, 1500, 4))):
+        outcomes = set()
+        for cap in caps:
+            monkeypatch.setattr(D, name, cap)
+            got = find_joint_braid(*target, 8)
+            assert got == _action.joint_braid(*target, 8), (name, cap)
+            outcomes.add(got is None)
+        monkeypatch.undo()
+        assert outcomes == {True, False}
 
 
 def test_rewrite_special_form_flips_crossings():

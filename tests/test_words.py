@@ -5,15 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _action
+from braidmoves import words as W
 from braidmoves.homology import fox_x, fox_y
 from braidmoves.modcheck import x_column, y_row
 from braidmoves.pairing import evaluate_loops, pair_loops
 from braidmoves.words import (
+    MAX_CODED_INDEX,
     MAX_WORD_LETTERS,
     BraidWord,
     FreeWord,
     WordError,
-    act_letters,
+    act_within,
+    decode,
+    encode,
     y_basis_word,
 )
 
@@ -127,15 +132,122 @@ def test_sigma1_sends_x1_to_x2():
     assert b(FreeWord.generator(2, 1)) == FreeWord.generator(2, 2)
 
 
-def test_act_letters_steps_through_the_action():
-    # one word per letter, rightmost letter first, ending at b(w)
+def test_act_within_stops_exactly_where_a_step_passes_the_limit():
+    # b(w) when every step of the reference action fits the limit, and
+    # None exactly when one step passes it
     b = BraidWord.parse(BETA2, 4)
     w = FreeWord.generator(4, 3)
-    steps = list(act_letters(b, w.letters))
-    assert len(steps) == len(b)
-    for k, step in enumerate(steps, 1):
-        assert step == BraidWord(4, b.letters[-k:])(w).letters
-    assert steps[-1] == ((1, 1),)
+    longest = max(map(len, _action.steps(b, w.letters)))
+    assert act_within(b, w.letters, longest) == ((1, 1),)
+    assert act_within(b, w.letters, longest - 1) is None
+    rng = random.Random(2101)
+    for _ in range(400):
+        n = rng.randrange(2, 7)
+        b = rand_braid(rng, n, 16)
+        w = rand_free(rng, n, 8)
+        steps = _action.steps(b, w.letters)
+        longest = max(map(len, steps), default=0)
+        for limit in (longest - 1, longest, longest + 1, rng.randrange(0, 40)):
+            got = act_within(b, w.letters, limit)
+            if any(len(step) > limit for step in steps):
+                assert got is None, (b, w, limit)
+            else:
+                assert got == (steps[-1] if steps else w.letters), (b, w, limit)
+
+
+def rand_braid(rng, n, max_len):
+    k = rng.randrange(0, max_len + 1)
+    return BraidWord(n, tuple((rng.randrange(1, n), rng.choice([1, -1])) for _ in range(k)))
+
+
+def rand_free(rng, n, max_len, first=1):
+    k = rng.randrange(0, max_len + 1)
+    return FreeWord(n, tuple((rng.randrange(first, n + 1), rng.choice([1, -1])) for _ in range(k)))
+
+
+def test_codes_invert_by_the_last_bit():
+    letters = ((1, 1), (1, -1), (20, 1), (23, 1), (23, -1), (MAX_CODED_INDEX, -1))
+    code = encode(letters)
+    assert code[:3] == "\x02\x03(" and code[3] == "." and ord(code[-1]) == 0x10FFFF
+    assert decode(code) == letters
+    assert encode(_action.inverse(letters)) == "".join(chr(ord(c) ^ 1) for c in reversed(code))
+
+
+def test_coded_action_equals_the_reference_on_every_generator():
+    # each sigma_i^+-1 of B2 .. B8, and of B24 at i = 20 .. 23, whose codes
+    # are the characters ( ) * + , - . /, on every generator letter and on
+    # random words
+    rng = random.Random(2102)
+    cases = [(n, i) for n in range(2, 9) for i in range(1, n)]
+    cases += [(24, i) for i in range(20, 24)]
+    for n, i in cases:
+        words = [FreeWord.generator(n, j, s) for j in range(1, n + 1) for s in (1, -1)]
+        words += [rand_free(rng, n, 12, first=max(1, i - 1)) for _ in range(20)]
+        for sign in (1, -1):
+            g = BraidWord.generator(n, i, sign)
+            for w in words:
+                assert g(w) == _action.act(g, w), (n, i, sign, w)
+
+
+def test_one_pair_cancels_on_every_short_word():
+    # one removal of one pair reduces the image of every reduced word of
+    # up to five letters in x_{i-1} .. x_{i+2}, the moved letters and a
+    # fixed one on each side
+    n, i = 4, 2
+    letters = [(j, s) for j in range(1, 5) for s in (1, -1)]
+    words, level = [()], [()]
+    for _ in range(5):
+        level = [w + (l,) for w in level for l in letters if not w or w[-1] != (l[0], -l[1])]
+        words += level
+    assert len(words) == 22_409
+    for sign in (1, -1):
+        g = BraidWord.generator(n, i, sign)
+        for w in words:
+            assert act_within(g, w, len(w) * 3) == _action.apply_sigma(i, sign, w), (sign, w)
+
+
+def test_coded_action_equals_the_reference_on_long_words():
+    rng = random.Random(2103)
+    for _ in range(60):
+        n = rng.choice([3, 4, 5, 8, 24])
+        w = rand_free(rng, n, 2000, first=max(1, n - 5))
+        for sign in (1, -1):
+            g = BraidWord.generator(n, rng.randrange(max(1, n - 5), n), sign)
+            assert g(w) == _action.act(g, w)
+    for _ in range(300):
+        n = rng.choice([3, 4, 5, 6, 24])
+        top = rng.randrange(0, 30)
+        b = BraidWord(n, tuple((rng.randrange(max(1, n - 5), n), rng.choice([1, -1])) for _ in range(top)))
+        w = rand_free(rng, n, 10, first=max(1, n - 5))
+        assert b(w) == _action.act(b, w), (b, w)
+
+
+def test_letters_without_a_code_raise_word_error_before_any_table():
+    # x_{MAX_CODED_INDEX + 1}^-1 has no code point; neither acting on it nor
+    # by a generator that moves it builds a table or a long word
+    n = MAX_CODED_INDEX + 1
+    last, x1 = FreeWord.generator(n, n), FreeWord.generator(n, 1)
+    W._sigma_table.cache_clear()
+    tracemalloc.start()
+    try:
+        for act in (
+            lambda: BraidWord.generator(n, 1)(last),
+            lambda: BraidWord.generator(n, n - 1, -1)(x1),
+            lambda: act_within(BraidWord.generator(n, n - 1), x1.letters, 10),
+            lambda: encode(last.letters),
+        ):
+            with pytest.raises(WordError) as err:
+                act()
+            assert "no code" in str(err.value)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert W._sigma_table.cache_info().currsize == 0
+    assert peak < 100_000
+    # the last index with a code acts as every other one
+    m = MAX_CODED_INDEX
+    image = FreeWord(n, ((m, -1), (m - 1, 1), (m, 1)))
+    assert BraidWord.generator(n, m - 1)(FreeWord.generator(n, m)) == image
 
 
 def test_action_strand_mismatch():
