@@ -36,14 +36,17 @@ their images, then one removal of a single pair (act_code):
 * sigma_i sends x_i^+-1 to x_{i+1}^+-1 and x_{i+1}^+-1 to
   x_{i+1}^-1 x_i^+-1 x_{i+1}.  The input is reduced and every other
   letter is fixed, so letters can cancel only where two images meet.
-  An image ends in x_{i+1} and the next one begins with x_{i+1}^-1, or
-  they are the images of x_i^-1 x_i, which a reduced word does not
-  hold.  So only x_{i+1} x_{i+1}^-1 cancels, and once it goes, what meets
-  no longer cancels: two middle letters x_i^+-1 of images of x_{i+1}^+-1,
-  which are not inverse since the word was reduced, or a letter of index
-  i against one of index i + 1.
+  Every image ends in x_{i+1} but that of x_i^-1, and begins with
+  x_{i+1}^-1 but that of x_i; x_i^-1 x_i stands in no reduced word, so
+  x_{i+1} x_{i+1}^-1 is the one pair that can cancel.  Once it goes,
+  nothing that meets cancels: the middle letters x_i^e, x_i^f of the
+  images of x_{i+1}^e x_{i+1}^f, where f = -e would not be reduced, or,
+  where the one-letter image of x_i or x_i^-1 goes whole, x_i^+-1
+  against a fixed letter or against the end or start x_{i+1}^+-1 of
+  another image.
 * sigma_i^-1 sends x_{i+1}^+-1 to x_i^+-1 and x_i^+-1 to
-  x_i x_{i+1}^+-1 x_i^-1; in the same way only x_i^-1 x_i cancels.
+  x_i x_{i+1}^+-1 x_i^-1; in the same way x_i^-1 x_i is the one pair
+  that can cancel.
 
 The tests hold this to the letter-by-letter action with full reduction,
 on every reduced word of up to five letters around the moved ones.
@@ -278,7 +281,8 @@ are acted on at once, and the action never moves or cancels it."""
 
 class _Letters(dict):
     """The letter of each code met so far, so that a decoded word holds one
-    tuple per distinct letter, not one per position."""
+    tuple per distinct letter, not one per position.  It keeps at most two
+    entries per generator index that a decoded word used."""
 
     def __missing__(self, c: str) -> Letter:
         code = ord(c)
@@ -324,9 +328,10 @@ def act_code(i: int, sign: int, code: str) -> str:
 
 
 def act_within(b: BraidWord, letters: tuple[Letter, ...], limit: int) -> tuple[Letter, ...] | None:
-    """The reduced word b(letters), or None as soon as one of the words
-    g_k(letters), g_{k-1}(g_k(letters)), ... for b = g_1 ... g_k (rightmost
-    letter first) is longer than limit letters."""
+    """The reduced word b(letters) of reduced letters, or None as soon as
+    one of the words g_k(letters), g_{k-1}(g_k(letters)), ... for
+    b = g_1 ... g_k (rightmost letter first) is longer than limit
+    letters."""
     code = encode(letters)
     for i, sign in reversed(b.letters):
         code = act_code(i, sign, code)

@@ -29,7 +29,7 @@ from braidmoves.krammer import entry, is_identity
 from braidmoves.magnus import MagnusElement, tau
 from braidmoves.modcheck import x_column, y_row
 from braidmoves.pairing import evaluate_loops, pair, pair_loops
-from braidmoves.words import BraidWord, FreeWord, WordError
+from braidmoves.words import MAX_CODED_INDEX, BraidWord, FreeWord, WordError
 
 BETA2 = BraidWord.parse("-2 -2 -1 -2 -3 2 2 2 1 2 3", 4)
 BETA1 = BraidWord.parse("-2 -2 -1 -2 3 2 2 2 1 2 -3", 4)
@@ -759,6 +759,21 @@ def test_find_joint_braid_equals_the_pair_search_in_the_pipeline(monkeypatch):
     for v, w, depth in searches:
         psi = find_joint_braid(v, w, depth)
         assert psi is not None and psi == _action.joint_braid(v, w, depth)
+
+
+def test_find_joint_braid_refuses_letters_without_a_code():
+    # x_n has no code past MAX_CODED_INDEX: refused before the generator
+    # list, one entry per strand, is built
+    n = MAX_CODED_INDEX + 1
+    x1 = FreeWord.generator(n, 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(WordError):
+            find_joint_braid(x1, x1, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_find_joint_braid_caps_trip_at_the_same_state(monkeypatch):

@@ -37,6 +37,16 @@ def free_strategy(n, max_len=10):
     ).map(lambda ls: FreeWord(n, tuple(ls)))
 
 
+def rand_braid(rng, n, max_len, first=1):
+    k = rng.randrange(0, max_len + 1)
+    return BraidWord(n, tuple((rng.randrange(first, n), rng.choice([1, -1])) for _ in range(k)))
+
+
+def rand_free(rng, n, max_len, first=1):
+    k = rng.randrange(0, max_len + 1)
+    return FreeWord(n, tuple((rng.randrange(first, n + 1), rng.choice([1, -1])) for _ in range(k)))
+
+
 # -- parsing ---------------------------------------------------------------
 
 
@@ -155,16 +165,6 @@ def test_act_within_stops_exactly_where_a_step_passes_the_limit():
                 assert got == (steps[-1] if steps else w.letters), (b, w, limit)
 
 
-def rand_braid(rng, n, max_len):
-    k = rng.randrange(0, max_len + 1)
-    return BraidWord(n, tuple((rng.randrange(1, n), rng.choice([1, -1])) for _ in range(k)))
-
-
-def rand_free(rng, n, max_len, first=1):
-    k = rng.randrange(0, max_len + 1)
-    return FreeWord(n, tuple((rng.randrange(first, n + 1), rng.choice([1, -1])) for _ in range(k)))
-
-
 def test_codes_invert_by_the_last_bit():
     letters = ((1, 1), (1, -1), (20, 1), (23, 1), (23, -1), (MAX_CODED_INDEX, -1))
     code = encode(letters)
@@ -216,14 +216,13 @@ def test_coded_action_equals_the_reference_on_long_words():
             assert g(w) == _action.act(g, w)
     for _ in range(300):
         n = rng.choice([3, 4, 5, 6, 24])
-        top = rng.randrange(0, 30)
-        b = BraidWord(n, tuple((rng.randrange(max(1, n - 5), n), rng.choice([1, -1])) for _ in range(top)))
+        b = rand_braid(rng, n, 29, first=max(1, n - 5))
         w = rand_free(rng, n, 10, first=max(1, n - 5))
         assert b(w) == _action.act(b, w), (b, w)
 
 
 def test_letters_without_a_code_raise_word_error_before_any_table():
-    # x_{MAX_CODED_INDEX + 1}^-1 has no code point; neither acting on it nor
+    # x_{MAX_CODED_INDEX + 1} has no code point; neither acting on it nor
     # by a generator that moves it builds a table or a long word
     n = MAX_CODED_INDEX + 1
     last, x1 = FreeWord.generator(n, n), FreeWord.generator(n, 1)
