@@ -430,9 +430,10 @@ def _tau_y(n: int, idx: int, sign: int) -> MagnusElement:
 # multiplies on the right (r -> r G, the transposed_table of G), x_left on
 # the left, applied to the rows of a transpose (the row_table of G); the
 # fold reads magnus.letter_right.  modcheck reduces x_left and y_right mod P.
+# Only y_right is kept: the pairing runs tau_components_y, no query runs
+# tau_components_x, and modcheck.x_mod keeps x_left mod P.
 
 
-@lru_cache(maxsize=TABLES_KEPT)
 def x_left(n: int, j: int, sign: int) -> tuple:
     """v -> tau(x_j^sign) v."""
     return row_table(_tau_letter(n, "x", j, sign).entries)

@@ -29,10 +29,10 @@ sparse format that the mod-p screen uses too (magnus.row_table), read off
 the blocks of each block row that are not zero: a row whose only nonzero
 entry is one is a copy of one entry of the column it acts on, and every
 other row keeps its nonzero entries.  The exact table of (n, i, sign) is
-built on first use, from the generator's blocks, which are not kept; the
-bound table below is made from it by magnus.map_table, and the mod-P
-kernel reduces its entries as it is compiled.  At most
-magnus.TABLES_KEPT tables, and as many kernels, of each kind are kept.
+built from the generator's blocks once per kernel, and neither is kept:
+the mod-P kernel reduces its entries as it is compiled, and the exact
+kernel keeps the bound table below, made from it by magnus.map_table, as
+kernel.bounds.  At most magnus.TABLES_KEPT kernels of each kind are kept.
 tau_plus_act pushes the n+1 flat columns of a block column, tau_plus
 assembles the matrix from its n block columns, and entry reads one block
 of one column.
@@ -219,7 +219,6 @@ def _generator_blocks(n: int, i: int, sign: int) -> tuple:
     return tuple(rows)
 
 
-@lru_cache(maxsize=TABLES_KEPT)
 def tau_plus_generator(n: int, i: int, sign: int = 1) -> BlockMatrix:
     """The block matrix of sigma_i^sign acting on e_1 .. e_n."""
     zero = MagnusElement.zero(n + 1)
@@ -233,7 +232,6 @@ def tau_plus_generator(n: int, i: int, sign: int = 1) -> BlockMatrix:
 # -- the sparse action (see the module docstring) --------------------------
 
 
-@lru_cache(maxsize=TABLES_KEPT)
 def _rows(n: int, i: int, sign: int) -> tuple:
     """The table of sigma_i^sign acting on a flat column on the left; flat
     row r(n+1) + a holds row a of the blocks in block row r, read off the
@@ -338,15 +336,6 @@ def _merge(bounds) -> list | None:
     ]
 
 
-@lru_cache(maxsize=TABLES_KEPT)
-def _rows_bound(n: int, i: int, sign: int) -> tuple:
-    """_rows(n, i, sign) with each entry g given by its L1 norm and window,
-    [sum |c|, min q, max q, min t, max t]."""
-    return map_table(
-        _rows(n, i, sign), lambda g: [sum(map(abs, g._terms.values()))] + _bound((g,))[1:]
-    )
-
-
 def _bound_dot(live, vec) -> list | None:
     """The bound of a computed row, sum g * x over its entries (k, g) with
     x in row k, from the bounds vec of the rows: each coefficient of g * x
@@ -389,10 +378,11 @@ def _packed_size(norm: int, q0: int, q1: int, t0: int, t1: int, entries: int) ->
 
 def _bound_pass(n: int, letters: Sequence, start: int, bounds: list, entries: int) -> tuple:
     """Push the _bounds of the flat rows, read off true values, through the
-    tables of letters[start:] (in the order they act) for one stretch.
-    Returns stop, the end of the stretch; the bounds pushed through
-    letters[start:stop]; and [norm, q0, q1, t0, t1], the largest norm and
-    the exponent window over every step of the stretch.
+    bound tables of letters[start:] (in the order they act) for one
+    stretch.  Returns stop, the end of the stretch; the bounds pushed
+    through letters[start:stop]; [norm, q0, q1, t0, t1], the largest norm
+    and the exponent window over every step of the stretch; and the
+    _kernel_exact of each letter of the stretch.
 
     The stretch ends before the letter that would take the predicted packed
     size past MAX_PACKED_BITS, or past both REBOUND_GROWTH times its
@@ -404,12 +394,13 @@ def _bound_pass(n: int, letters: Sequence, start: int, bounds: list, entries: in
     if size > MAX_PACKED_BITS:
         raise _too_large(n, size)
     limit = max(REBOUND_FLOOR_BITS, REBOUND_GROWTH * size)
+    kernels = []
     for stop in range(start, len(letters)):
-        table = _rows_bound(n, *letters[stop])
-        pushed = apply_table(table, bounds, _bound_dot)
+        kernel = _kernel_exact(n, *letters[stop])
+        pushed = apply_table(kernel.bounds, bounds, _bound_dot)
         norm, q0, q1, t0, t1 = window
         # copied rows hold bounds met before; only the computed ones are new
-        for c, _ in table[1]:
+        for c, _ in kernel.bounds[1]:
             x = pushed[c]
             if x is not None:
                 if x[0] > norm:
@@ -425,11 +416,12 @@ def _bound_pass(n: int, letters: Sequence, start: int, bounds: list, entries: in
         size = _packed_size(norm, q0, q1, t0, t1, entries)
         if size > MAX_PACKED_BITS or size > limit and len(letters) - stop >= REBOUND_LETTERS:
             if stop > start:
-                return stop, bounds, window
+                return stop, bounds, window, kernels
             if size > MAX_PACKED_BITS:
                 raise _too_large(n, size)
         bounds, window = pushed, [norm, q0, q1, t0, t1]
-    return len(letters), bounds, window
+        kernels.append(kernel)
+    return len(letters), bounds, window, kernels
 
 
 def _too_large(n: int, size: int) -> WordError:
@@ -460,8 +452,10 @@ def _kernel_exact(n: int, i: int, sign: int):
     packed flat column and the shifts S of its layout (see the module
     docstring).  A term c q^a t^e of an entry shifts a_k by S[m], to the
     left or to the right as _direction fixes, where m is the place of
-    (a, e) in kernel.monomials; q^0 t^0 does not shift."""
-    copy, dense = _rows(n, i, sign)
+    (a, e) in kernel.monomials; q^0 t^0 does not shift.  kernel.bounds is
+    the bound table of the same rows, each entry g given by its L1 norm
+    and window, [sum |c|, min q, max q, min t, max t]."""
+    table = copy, dense = _rows(n, i, sign)
     size = n * (n + 1)
     rows = [f"a{k}" for k in copy(range(size))]
     monomials, shifted = {}, {}
@@ -490,6 +484,7 @@ def _kernel_exact(n: int, i: int, sign: int):
     )
     kernel = _compiled(f"kernel_exact {n} {i} {sign}", source, {})
     kernel.monomials = tuple(monomials)
+    kernel.bounds = map_table(table, lambda g: [sum(map(abs, g._terms.values())), *_bound((g,))[1:]])
     return kernel
 
 
@@ -505,7 +500,7 @@ def _push_exact(n: int, letters: Sequence, vecs: list, keep: Sequence[int]) -> l
     while True:
         if not any(bounds):
             return [[ZERO] * len(keep) for _ in vecs]
-        stop, pushed, (norm, q0, _, t0, t1) = _bound_pass(
+        stop, pushed, (norm, q0, _, t0, t1), kernels = _bound_pass(
             n, letters, start, bounds, len(vecs) * len(bounds)
         )
         new = s, w, _, _ = _slot_bits(norm), t1 - t0 + 1, q0, t0
@@ -514,7 +509,6 @@ def _push_exact(n: int, letters: Sequence, vecs: list, keep: Sequence[int]) -> l
         else:
             vecs = [[_reslot(x, bound, layout, new) for x, bound in zip(vec, bounds)] for vec in vecs]
         layout = new
-        kernels = [_kernel_exact(n, i, sign) for i, sign in letters[start:stop]]
         shifts = {kernel: _shifts(kernel.monomials, s, w) for kernel in set(kernels)}
         for kernel in kernels:
             S = shifts[kernel]

@@ -99,14 +99,6 @@ class LaurentPoly:
         res._terms = {k: c * v for k, v in self._terms.items()}
         return res
 
-    def __pow__(self, k: int) -> LaurentPoly:
-        if k < 0:
-            raise ValueError("negative powers only exist for unit monomials; use monomial")
-        acc = _ONE
-        for _ in range(k):
-            acc = acc * self
-        return acc
-
     # -- predicates and access ----------------------------------------
 
     def is_zero(self) -> bool:

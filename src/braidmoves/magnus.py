@@ -330,11 +330,21 @@ def letter_right(n: int, kind: str, index: int, sign: int) -> tuple:
 WordLike = Union[BraidWord, FreeWord]
 
 
+def _pieces(pieces: Union[WordLike, Iterable[WordLike]]) -> list:
+    """The words of a word or a sequence, all on one count: another piece
+    raises TypeError, and words on two counts WordError."""
+    pieces = [pieces] if isinstance(pieces, (BraidWord, FreeWord)) else list(pieces)
+    for piece in pieces:
+        if not isinstance(piece, (BraidWord, FreeWord)):
+            raise TypeError(f"a piece must be a word, not a {type(piece).__name__}")
+        if piece.n != pieces[0].n:
+            raise WordError(f"strand count mismatch: {pieces[0].n} vs {piece.n}")
+    return pieces
+
+
 def deg(pieces: Union[WordLike, Iterable[WordLike]]) -> int:
     """Exponent sum in the x-letters; braid letters contribute 0."""
-    if isinstance(pieces, (BraidWord, FreeWord)):
-        pieces = (pieces,)
-    return sum(piece.exponent_sum() for piece in pieces if isinstance(piece, FreeWord))
+    return sum(piece.exponent_sum() for piece in _pieces(pieces) if isinstance(piece, FreeWord))
 
 
 @lru_cache(maxsize=1 << 15)
@@ -361,7 +371,7 @@ def tau(arg, n: int | None = None) -> MagnusElement:
         for word, coeff in arg.tau_terms():
             acc = acc + _tau_word(word).scale(coeff)
         return acc
-    pieces = list(arg)
+    pieces = _pieces(arg)
     if not pieces and n is None:
         raise ValueError("tau of an empty sequence needs an explicit n")
     return reduce(mul, map(_tau_word, pieces)) if pieces else MagnusElement.identity(n + 1)

@@ -16,6 +16,8 @@ Kronecker-packed integers, each entry a list of shifts.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from braidmoves.krammer import _rows
 from braidmoves.laurent import ONE
 from braidmoves.magnus import apply_table, map_table
@@ -61,9 +63,16 @@ def push(n: int, letters, vecs: list, tables, dot) -> list:
     return vecs
 
 
+@lru_cache(maxsize=None)
+def exact_rows(n: int, i: int, sign: int) -> tuple:
+    """_rows(n, i, sign), kept for the table route, which reads it once per
+    letter; the package reads it once per kernel and does not keep it."""
+    return _rows(n, i, sign)
+
+
 def rows_mod(n: int, i: int, sign: int) -> tuple:
     """_rows(n, i, sign) reduced mod P, entry by entry."""
-    return map_table(_rows(n, i, sign), poly_mod)
+    return map_table(exact_rows(n, i, sign), poly_mod)
 
 
 def packed_table(n: int, i: int, sign: int, s: int, w: int) -> tuple:
@@ -71,7 +80,7 @@ def packed_table(n: int, i: int, sign: int, s: int, w: int) -> tuple:
     width w: each entry g as its (shift, coeff) terms, the term c q^a t^e
     shifting every slot by a w + e."""
     return map_table(
-        _rows(n, i, sign), lambda g: tuple((s * (a * w + e), c) for (a, e), c in g._terms.items())
+        exact_rows(n, i, sign), lambda g: tuple((s * (a * w + e), c) for (a, e), c in g._terms.items())
     )
 
 

@@ -294,7 +294,10 @@ def test_bound_pass_bounds_every_pushed_coefficient():
         if not any(start):
             continue
         letters = b.letters[::-1]
-        stop, bounds, (norm, q0, q1, t0, t1) = K._bound_pass(b.n, letters, 0, start, m * len(start))
+        stop, bounds, (norm, q0, q1, t0, t1), kernels = K._bound_pass(
+            b.n, letters, 0, start, m * len(start)
+        )
+        assert kernels == [_kernel_exact(b.n, *letter) for letter in letters[:stop]]
         pushed = K._push_exact(b.n, letters[:stop], vecs, range(len(start)))
         for r, bound in enumerate(bounds):
             for p in (vec[r] for vec in pushed):
@@ -438,7 +441,7 @@ def test_long_products_push_through_kernels_as_through_tables(monkeypatch):
             calls[0] += 1
             return out
 
-        run.monomials = kernel.monomials
+        run.monomials, run.bounds = kernel.monomials, kernel.bounds
         return run
 
     monkeypatch.setattr(K, "_shifts", recorded)
@@ -463,23 +466,27 @@ def krammer_caches() -> dict:
 
 
 def test_kernel_caches_hold_every_small_generator():
-    """The bounded table and kernel caches keep every generator of B_3 ..
-    B_5 in both signs: a second round builds nothing."""
+    """The two kernel caches keep every generator of B_3 .. B_5 in both
+    signs: a second round builds nothing, and the exact kernels keep the
+    bound tables they were built with."""
     generators = [(n, i, sign) for n in (3, 4, 5) for i in range(1, n) for sign in (1, -1)]
-    for cache in (_kernel_mod, _kernel_exact, _rows, K._rows_bound, tau_plus_generator):
+    for cache in (_kernel_mod, _kernel_exact):
         for g in generators:
             cache(*g)
         misses = cache.cache_info().misses
         for g in generators:
             cache(*g)
         assert cache.cache_info().misses == misses
+    bounds = [_kernel_exact(*g).bounds for g in generators]
+    assert all(_kernel_exact(*g).bounds is b for g, b in zip(generators, bounds))
 
 
 def test_large_generator_tables_stay_small_once_built():
     """From empty caches, is_identity of a three-letter braid on B_20, B_40
-    and B_60 keeps at most 10 MB once tau on words is cleared: the exact
-    tables, the mod-P kernels and the table of each letter, but not the
-    generators' blocks."""
+    and B_60 keeps at most 3 MB once tau on words is cleared: the mod-P
+    kernels, the probe vectors and the table of each letter, but neither
+    the generators' blocks nor their exact tables, which the screen's
+    kernels are compiled from and do not keep."""
     for cache in (*krammer_caches().values(), M.letter_right, M._tau_word):
         cache.cache_clear()
     gc.collect()
@@ -492,7 +499,7 @@ def test_large_generator_tables_stay_small_once_built():
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert held < 10_000_000
+    assert held < 3_000_000
 
 
 def test_oversized_exact_products_rejected(monkeypatch):
@@ -587,7 +594,7 @@ def test_generator_tables_equal_their_entry_by_entry_reference():
                 for table, convert in (
                     (_rows(n, i, sign), lambda g: g),
                     (rows_mod(n, i, sign), poly_mod),
-                    (K._rows_bound(n, i, sign), norm_and_window),
+                    (_kernel_exact(n, i, sign).bounds, norm_and_window),
                 ):
                     assert table_entries(table, n * (n + 1)) == reference_entries(rows, convert)
 

@@ -69,11 +69,6 @@ def test_text_form():
     assert str(LaurentPoly.monomial(-1, 2, -3)) == "-3*q^-1*t^2"
 
 
-def test_negative_power_rejected():
-    with pytest.raises(ValueError):
-        (ONE + Q) ** -1
-
-
 X1 = FreeWord.generator(3, 1)
 
 

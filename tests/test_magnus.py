@@ -3,6 +3,7 @@ import random
 import pytest
 
 from _oracle import oracle_rho, oracle_tau_word
+from braidmoves.homology import GroupRingElement
 from braidmoves.laurent import ONE, Q, T, LaurentPoly
 from braidmoves.magnus import (
     MagnusElement,
@@ -13,7 +14,7 @@ from braidmoves.magnus import (
     tau,
     unreduced_burau,
 )
-from braidmoves.words import BraidWord, FreeWord
+from braidmoves.words import BraidWord, FreeWord, WordError
 
 ZERO = LaurentPoly.zero()
 MQ = -(Q * (ONE - Q))          # -q(1-q)
@@ -281,6 +282,30 @@ def test_deg():
     assert deg(FreeWord.parse("x2 x4 x2^-1", 4)) == 1
     assert deg(FreeWord.parse("x1^-1 x3^-1", 3)) == -2
     assert deg([BraidWord.parse("1", 3), FreeWord.parse("x1 x2", 3)]) == 2
+
+
+S1 = BraidWord.parse("1", 3)
+X1_ON_3 = FreeWord.parse("x1", 3)
+
+
+@pytest.mark.parametrize("f", [tau, deg])
+@pytest.mark.parametrize(
+    "pieces, error, match",
+    [
+        ([S1, GroupRingElement.from_word(X1_ON_3)], TypeError, "GroupRingElement"),
+        (["x1"], TypeError, "str"),
+        ([FreeWord.parse("x1 x2", 3), "x"], TypeError, "str"),
+        ([S1, FreeWord.parse("x1", 4)], WordError, "3 vs 4"),
+        ([X1_ON_3, S1, BraidWord.parse("1", 4)], WordError, "3 vs 4"),
+    ],
+    ids=["group-ring-element", "string", "word-then-string", "counts", "counts-later"],
+)
+def test_sequences_of_pieces_are_checked(f, pieces, error, match):
+    """tau and deg of a sequence read words on one count only: another
+    piece raises TypeError, named by its type, and words on two counts
+    WordError, as a product of the two words does."""
+    with pytest.raises(error, match=match):
+        f(pieces)
 
 
 # -- Burau block ----------------------------------------------------------------
