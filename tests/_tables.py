@@ -80,7 +80,8 @@ def packed_table(n: int, i: int, sign: int, s: int, w: int) -> tuple:
     width w: each entry g as its (shift, coeff) terms, the term c q^a t^e
     shifting every slot by a w + e."""
     return map_table(
-        exact_rows(n, i, sign), lambda g: tuple((s * (a * w + e), c) for (a, e), c in g._terms.items())
+        exact_rows(n, i, sign),
+        lambda g: tuple((s * (a * w + e), c) for (a, e), c in g._terms.items()),
     )
 
 
