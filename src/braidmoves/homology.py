@@ -33,8 +33,8 @@ matrices (flat rows pushed through the sparse tables x_left and y_right),
 and modcheck on probe vectors mod p (a row times the y-side prefix, the
 x-side suffix times a column).  fold_x gives the x-side of a pairing
 without its components: it folds the letters of an x-loop over given
-y-side terms, and the pairing module runs it on rows through the table
-magnus.letter_right.
+y-side steps, and the pairing module runs it on one map of packed terms
+through the tables pairing.letter_scatter.
 
 Classes built from a loop word carry that word as provenance; the star
 correspondence and the braid action use it ([w]^* = [w^-1] in the other
@@ -287,22 +287,22 @@ def sweep_x(w: FreeWord, one, zero, image) -> tuple:
     return tuple(comps)
 
 
-def fold_x(w: FreeWord, terms, zero, image):
-    """sum_i terms[i-1] d_i over the components d_i of [w]_x, without forming
-    the components: one left-to-right pass over the x-letters.
+def fold_x(w: FreeWord, steps, zero, image):
+    """sum_i R_i d_i over the components d_i of [w]_x, without forming the
+    components: one left-to-right pass over the x-letters.
 
     After the letters l_1 .. l_k the accumulator is the sum for
-    [l_1 .. l_k]_x, and d(u l) = d(u) l + d(l) updates it by
-    acc <- acc X + R for l = x_i and acc <- (acc - R) X for l = x_i^-1,
-    with R = terms[i-1] and X = image(i, sign), which multiplies acc on the
-    right.
+    [l_1 .. l_k]_x.  d(u l) = d(u) l + d(l), with d(x_i) = e_i and
+    d(x_i^-1) = -e_i x_i^-1, updates it by acc <- acc X + K, with
+    X = image(i, sign), which multiplies acc on the right, and the constant
+    K = steps(i, sign): R_i for l = x_i and -R_i X for l = x_i^-1, which
+    gives (acc - R_i) X without pushing R_i through X.  K is added in place
+    (acc += K) to the fresh product acc X.
     """
     acc = zero
     for idx, sign in w.letters:
-        if sign == 1:
-            acc = acc * image(idx, 1) + terms[idx - 1]
-        else:
-            acc = (acc - terms[idx - 1]) * image(idx, -1)
+        acc = acc * image(idx, sign)
+        acc += steps(idx, sign)
     return acc
 
 
@@ -429,7 +429,8 @@ def _tau_y(n: int, idx: int, sign: int) -> MagnusElement:
 # magnus.row_table, on flat rows held in magnus.RowMatrix: y_right
 # multiplies on the right (r -> r G, the transposed_table of G), x_left on
 # the left, applied to the rows of a transpose (the row_table of G); the
-# fold reads magnus.letter_right.  modcheck reduces x_left and y_right mod P.
+# fold reads pairing.letter_scatter.  modcheck reduces x_left and y_right
+# mod P.
 # Only y_right is kept: the pairing runs tau_components_y, no query runs
 # tau_components_x, and modcheck.x_mod keeps x_left mod P.
 

@@ -34,8 +34,9 @@ of tau.
 
 tau of a word forms no matrix product: the identity's rows are pushed
 through letter_right, the one cached table of tau of each letter, as the
-sweeps and the pairing fold push theirs.  MagnusElement.__mul__ is the
-general product of two matrices.
+sweeps push theirs; the pairing fold reads the same tables by source
+(scattered).  MagnusElement.__mul__ is the general product of two
+matrices.
 
 The lower-right n x n blocks of tau on braid words are exactly the
 unreduced Burau matrices.
@@ -177,11 +178,14 @@ def _dot(live_row: list[tuple[int, LaurentPoly]], col: tuple[LaurentPoly, ...]) 
 # A matrix acting on flat columns on the left, kept as a table of its rows:
 # an itemgetter that copies entry k of the column for each row that is ONE
 # at k and zero elsewhere, and the (c, ((k, g), ...)) nonzero entries of
-# every other row c.  The block representation (krammer), the exact
-# pairing fold (pairing, on RowMatrix rows) and the mod-p screen
-# (modcheck) keep every generator image in this one format.  A table is
-# built once, from exact entries, and map_table carries it to another ring
-# or form (entries mod p, norm bounds), entry by entry.
+# every other row c.  The block representation (krammer), the sweeps (on
+# RowMatrix rows) and the mod-p screen (modcheck) keep every generator
+# image in this one format.  A table is built once, from exact entries, and
+# map_table carries it to another ring or form (entries mod p, norm
+# bounds), entry by entry.  scattered reads a table by source entry
+# instead: what each entry k of the vector feeds, the form in which the
+# pairing fold (pairing.letter_scatter) pushes the terms of one packed map
+# through tau of a letter.
 
 
 def row_table(rows) -> tuple:
@@ -207,6 +211,22 @@ def map_table(table, f) -> tuple:
     copied rows stay as they are."""
     copy, dense = table
     return copy, tuple((c, tuple((k, f(g)) for k, g in live)) for c, live in dense)
+
+
+def scattered(table, size: int) -> list:
+    """The table read by source: for each entry k of a flat vector of this
+    size, the (c, g) with which it feeds entry c of the image, so that the
+    image is the sum of g * vec[k] placed at c."""
+    copy, dense = table
+    computed = {c for c, _ in dense}
+    feeds = [[] for _ in range(size)]
+    for c, k in enumerate(copy(tuple(range(size)))):
+        if c not in computed:
+            feeds[k].append((c, ONE))
+    for c, live in dense:
+        for k, g in live:
+            feeds[k].append((c, g))
+    return feeds
 
 
 def apply_table(table, vec, dot) -> list:

@@ -141,10 +141,26 @@ def oracle_rho(n: int, kind: str, index: int, sign: int = 1):
     return magnus_matrix(b1n_automorphism(n, [(kind, index if kind == "x" else index, sign)]))
 
 
+def _product(a, b):
+    """The product of two square matrices of Laurent polynomials."""
+    cols = list(zip(*b))
+    return [
+        [sum((p * c for p, c in zip(row, col) if p and c), LaurentPoly.zero()) for col in cols]
+        for row in a
+    ]
+
+
 def oracle_tau_word(n: int, letters):
-    """tau of a mixed word, derived from scratch: q^deg times the matrix."""
-    phi = b1n_automorphism(n, letters)
-    m = magnus_matrix(phi)
-    d = sum(sign for kind, _, sign in letters if kind == "x")
-    scale = LaurentPoly.monomial(d, 0)
-    return [[p * scale for p in row] for row in m]
+    """tau of a mixed word, derived from scratch: the product of the
+    letters' matrices, each q^deg times the matrix of its automorphism.
+    Multiplying them keeps long free words cheap, where composing their
+    automorphisms first would grow the images of the y_k with each letter."""
+    one, zero = LaurentPoly.one(), LaurentPoly.zero()
+    acc = [[one if i == j else zero for j in range(n + 1)] for i in range(n + 1)]
+    for kind, index, sign in letters:
+        m = magnus_matrix(b1n_automorphism(n, [(kind, index, sign)]))
+        if kind == "x":
+            scale = LaurentPoly.monomial(sign, 0)
+            m = [[p * scale for p in row] for row in m]
+        acc = _product(acc, m)
+    return acc

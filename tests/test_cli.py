@@ -227,3 +227,20 @@ def test_seed_flag_accepted(capsys):
     code, out, _ = run(capsys, "--seed", "7", "is-identity", "-n", "2", "")
     assert code == EXIT_OK
     assert out.strip() == "true"
+
+
+def test_python_dash_m_runs_the_tool():
+    # python -m braidmoves with the package on the path alone, no install
+    import os
+    import subprocess
+    import sys
+
+    import braidmoves
+
+    src = os.path.dirname(os.path.dirname(braidmoves.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-m", "braidmoves", "is-identity", "-n", "3", "1 -1"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (out.returncode, out.stdout.strip()) == (EXIT_OK, "true"), out.stderr

@@ -426,22 +426,29 @@ def test_warm_reverification_sweeps_no_loop(monkeypatch):
 
 def test_decision_does_not_read_the_y_terms_table(monkeypatch):
     # one corrupted entry of pairing.letter_y_terms, E_00 added to each of
-    # its terms: the scans still find their one-letter certificates, since
-    # the screen and the exact decision read no y-terms, and the
-    # re-verification, which folds over them, rejects each.  At depth 0
-    # BETA1 reduces positively on x4 and BETA2 admits the exchange
-    # (x1, x4), re-verified on the y-loops x4^-1 and x1^-1
+    # its terms R_i, in both steps R_i and -R_i tau(x_i^-1): the scans
+    # still find their one-letter certificates, since the screen and the
+    # exact decision read no y-terms, and the re-verification, which folds
+    # over them, rejects each.  At depth 0 BETA1 reduces positively on x4
+    # and BETA2 admits the exchange (x1, x4), re-verified on the y-loops
+    # x4^-1 and x1^-1
     import braidmoves.pairing as P
-    from braidmoves.laurent import ONE
 
     table = P.letter_y_terms
+
+    def plus_e00(terms):
+        # E_00 is the term of key 0: row 0, column 0, q^0 t^0
+        acc = P.TermMap(terms)
+        acc += ((0, 1),)
+        return tuple(acc.items())
 
     def corrupting(bad):
         def corrupted(n, j, sign):
             terms = table(n, j, sign)
             if (n, j, sign) != bad:
                 return terms
-            return tuple(((row[0] + ONE, *row[1:]), *rows) for row, *rows in terms)
+            steps = P._y_steps(n, [plus_e00(r) for r, _ in terms])
+            return tuple((steps(i, 1), steps(i, -1)) for i in range(1, n + 1))
 
         return corrupted
 

@@ -264,7 +264,8 @@ def test_fast_component_sweeps_match():
 
 def test_fold_x_in_the_group_ring():
     # the fold gives sum_i r_i m_i over the components m_i of [w]_x without
-    # forming them; in ZF_n the products are exact words
+    # forming them, with the steps r_i for x_i and -r_i x_i^-1 for x_i^-1;
+    # in ZF_n the products are exact words
     rng = random.Random(14)
     for _ in range(30):
         n = rng.choice([2, 3, 4])
@@ -274,7 +275,11 @@ def test_fold_x_in_the_group_ring():
         expected = zero
         for r, m in zip(rs, fox_x(w).coeffs):
             expected = expected + r * m
-        assert fold_x(w, rs, zero, partial(FreeWord.generator, n)) == expected
+
+        def steps(i, sign):
+            return rs[i - 1] if sign == 1 else -(rs[i - 1] * FreeWord.generator(n, i, -1))
+
+        assert fold_x(w, steps, zero, partial(FreeWord.generator, n)) == expected
 
 
 def test_left_action_y_golden():

@@ -189,8 +189,7 @@ def test_tau_of_a_word_forms_no_matrix_product(monkeypatch):
     """tau of a word pushes rows through one table per letter: with the
     matrix product disabled, tau of braid and free words, the y-basis
     tables, t_i and the y-side components still build, and tau agrees with
-    the oracle (with the product of the oracle's letters on free words
-    longer than the oracle handles quickly)."""
+    the oracle."""
     from braidmoves.homology import tau_components_y, y_right
     from braidmoves.magnus import _tau_word
     from braidmoves.pairing import t_element
@@ -223,13 +222,7 @@ def test_tau_of_a_word_forms_no_matrix_product(monkeypatch):
         tau_components_y(loop)
     monkeypatch.undo()
     for n, letters, got in built:
-        if letters[0][0] == "sigma" or len(letters) <= 8:
-            assert rows(got) == oracle_tau_word(n, letters)
-        else:
-            expected = MagnusElement.identity(n + 1)
-            for letter in letters:
-                expected = expected * MagnusElement(oracle_tau_word(n, [letter]))
-            assert got == expected
+        assert rows(got) == oracle_tau_word(n, letters)
 
 
 # -- tau structure -------------------------------------------------------------

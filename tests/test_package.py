@@ -57,6 +57,7 @@ CACHES = {
             "modcheck.x_mod",
             "modcheck.y_mod",
             "pairing._t_symbolic",
+            "pairing.letter_scatter",
             "pairing.letter_y_terms",
             "pairing.t_element",
             "pairing.t_right",
@@ -75,7 +76,7 @@ def test_every_cache_is_bounded_but_two_sign_tables():
     bounds = {name: cache.cache_info().maxsize for name, cache in package_caches().items()}
     assert {"krammer._kernel_exact", "pairing.letter_y_terms", "modcheck.x_mod"} <= set(bounds)
     assert bounds == CACHES
-    assert len(bounds) == 18
+    assert len(bounds) == 19
 
 
 def test_importing_builds_no_table():

@@ -3,13 +3,16 @@ import random
 from functools import partial
 
 import pytest
+from _oracle import oracle_tau_word
 
+import braidmoves.pairing as P
 from braidmoves.detect import braid_words
 from braidmoves.homology import (
     GroupRingElement,
     HomologyClassX,
     HomologyClassY,
     _tau_y,
+    _y_word,
     evaluate_x,
     evaluate_y,
     fox_x,
@@ -19,8 +22,7 @@ from braidmoves.homology import (
     sweep_x,
     sweep_y,
 )
-from braidmoves.laurent import ONE
-from braidmoves.magnus import MagnusElement, RowMatrix, _tau_letter, tau
+from braidmoves.magnus import MagnusElement, _tau_letter, tau
 from braidmoves.pairing import (
     PairingValue,
     _swept_y_terms,
@@ -239,10 +241,14 @@ def test_fold_over_x_equals_the_other_evaluations():
                 assert folded.is_zero() == zero, (str(yloop), str(xloop))
 
 
+def decoded(n, terms):
+    return P._decode(n, P.TermMap(terms))
+
+
 def test_letter_y_terms_equal_their_sweep():
-    # each table entry against the sweep it is built by and against the
-    # dense components times t_i; a caller that rewrites the terms it was
-    # given leaves the next lookup as it was
+    # each table entry, both steps of every i, against the sweep it is
+    # built by and against the dense components times t_i; the steps are
+    # served from the table as tuples, which no caller can change
     for n in range(2, 7):
         for j in range(1, n + 1):
             for sign in (1, -1):
@@ -250,14 +256,128 @@ def test_letter_y_terms_equal_their_sweep():
                 swept = [r.element() for r in _swept_y_terms(loop)]
                 dense = [c * t_element(n, i) for i, c in enumerate(_dense_components_y(loop), 1)]
                 assert swept == dense
-                served = y_terms(loop)
-                assert [r.element() for r in served] == swept
-                assert [RowMatrix(rows).element() for rows in letter_y_terms(n, j, sign)] == swept
-                for term in served:
-                    with pytest.raises(TypeError):
-                        term.rows[0][0] = ONE
-                    term.rows = RowMatrix.identity(n + 1).rows
-                assert [r.element() for r in y_terms(loop)] == swept
+                table = letter_y_terms(n, j, sign)
+                steps = y_terms(loop)
+                for i, ((plus, minus), r) in enumerate(zip(table, swept), start=1):
+                    assert steps(i, 1) is plus and steps(i, -1) is minus
+                    assert decoded(n, plus) == r
+                    assert decoded(n, minus) == -(r * _tau_letter(n, "x", i, -1))
+                    for step in (plus, minus):
+                        with pytest.raises(TypeError):
+                            step[0] = (0, 1)
+                with pytest.raises(TypeError):
+                    table[0] = ((), ())
+                assert letter_y_terms(n, j, sign) is table
+
+
+# the fold at the edges of its key layout: the row and column fields widen
+# at n = 4, 8 and 16, and the t-field holds what its guard lets through
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 7, 8, 15, 16, 17))
+def test_fold_at_the_edges_of_its_layout(n):
+    # one-letter y-loops (from the table) and a three-letter one (swept), in
+    # both signs, on the first and last generators, against x-loops that
+    # move the top row and column field in both signs
+    top = FreeWord.generator(n, n)
+    y3 = FreeWord(n, ((n, 1), (1, -1), (n, 1)))
+    yloops = [top, top.inverse(), FreeWord.generator(n, 1, -1), y3, y3.inverse()]
+    xloops = [FreeWord(n, ((n, -1), (1, 1), (n, 1), (max(n - 1, 1), -1))), top * top]
+    for yloop in yloops:
+        for xloop in xloops:
+            folded = evaluate_loops(yloop, xloop)
+            assert folded == tau(pair_loops(yloop, xloop).symbolic), (n, str(yloop), str(xloop))
+            assert folded == pairing_sum(
+                _dense_components_y(yloop),
+                _dense_components_x(xloop),
+                partial(t_element, n),
+                MagnusElement.zero(n + 1),
+            )
+
+
+@pytest.fixture
+def fresh_fold_tables():
+    """Empty the tables of the fold before and after a test that narrows
+    its layout, so that no table outlives the layout it was built in."""
+    caches = (P.letter_scatter, P.letter_y_terms)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+def test_the_fold_refuses_loops_past_its_t_field(monkeypatch, fresh_fold_tables):
+    # x_j^l y-loops against x_j^m x-loops reach t-degree l + m, and within
+    # one of its negative; with a 6-bit t-field the guard lets l + m = 26
+    # through on B2, which still folds exactly, and refuses l + m = 27
+    n = 2
+    cases, longer = [], []
+    for j in (1, 2):
+        for sign in (1, -1):
+            for l, m in ((1, 25), (13, 13), (20, 6)):
+                ypower, xpower = FreeWord(n, ((j, sign),) * l), FreeWord(n, ((j, sign),) * m)
+                for yloop in (ypower, ypower.inverse()):
+                    cases.append((yloop, xpower))
+                    longer.append((yloop, xpower * FreeWord.generator(n, j, sign)))
+    expected = [evaluate_loops(yloop, xloop) for yloop, xloop in cases]
+    degrees = [b for v in expected for row in v.entries for p in row for (_, b), _ in p.terms()]
+    assert (min(degrees), max(degrees)) == (-25, 26)
+    P.letter_scatter.cache_clear()
+    P.letter_y_terms.cache_clear()
+    monkeypatch.setattr(P, "T_BITS", 6)
+    assert [evaluate_loops(yloop, xloop) for yloop, xloop in cases] == expected
+    for yloop, xloop in longer:
+        with pytest.raises(WordError, match="overflow the t-field"):
+            evaluate_loops(yloop, xloop)
+
+
+def test_fold_against_the_oracle_on_forty_letter_loops():
+    # the pairing built from the oracle's own letter matrices: the
+    # components of both loops swept over whole matrices, and t_i, from
+    # the oracle's tau.  A random x-loop of 40 letters against one-letter
+    # y-loops (from the table), a random y-loop of 40 letters (swept)
+    # against a short x-loop, and b(x_i)^-1 against b(x_j), which vanishes
+    # for i < j, and the other way round, on loops of 39 to 65 letters
+    rng = random.Random(40)
+    for n, braid, i, j in ((3, "1 -2 1 -2 1 -2", 2, 3), (4, "1 -2 3 -2 1 -2 3 -2", 3, 4)):
+        letters = {}
+
+        def image(idx, sign):
+            if (idx, sign) not in letters:
+                letters[idx, sign] = MagnusElement(oracle_tau_word(n, [("x", idx, sign)]))
+            return letters[idx, sign]
+
+        def y_image(idx, sign):
+            acc = MagnusElement.identity(n + 1)
+            for k, s in _y_word(n, idx, sign).letters:
+                acc = acc * image(k, s)
+            return acc
+
+        def t_oracle(k):
+            prefix = [("x", m, 1) for m in range(1, k + 1)]
+            upto, before = (oracle_tau_word(n, p) for p in (prefix, prefix[:-1]))
+            return MagnusElement(upto) - MagnusElement(before)
+
+        def random_loop():
+            loop = FreeWord(n, ())
+            while len(loop) < 40:
+                loop = loop * FreeWord.generator(n, rng.randint(1, n), rng.choice((1, -1)))
+            return loop
+
+        b = BraidWord.parse(braid, n)
+        xi, xj = b(FreeWord.generator(n, i)), b(FreeWord.generator(n, j))
+        assert min(len(xi), len(xj)) >= 39
+        xloop, yloop, short = random_loop(), random_loop(), rand_free(rng, n, 3)
+        cases = [(FreeWord.generator(n, 1, -1), xloop), (FreeWord.generator(n, n), xloop)]
+        cases += [(yloop, short), (xi.inverse(), xj), (xj.inverse(), xi)]
+        one, zero = MagnusElement.identity(n + 1), MagnusElement.zero(n + 1)
+        for y, x in cases:
+            expected = pairing_sum(
+                sweep_y(y, one, zero, y_image), sweep_x(x, one, zero, image), t_oracle, zero
+            )
+            assert evaluate_loops(y, x) == expected
+        assert evaluate_loops(xi.inverse(), xj).is_zero()
 
 
 def test_pair_loops_builds_classes_only_for_the_symbolic_form():
